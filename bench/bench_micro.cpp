@@ -196,22 +196,50 @@ static void BM_TranspileCudaToOmp(benchmark::State& state) {
 }
 BENCHMARK(BM_TranspileCudaToOmp);
 
+// Args: (points, distinct). distinct == points is the continuous case:
+// four blobs of jittered 8-d points at {0.5, 3}. distinct < points is
+// shaped like the paper's failure-log corpus (3,359 embeddings, 225
+// distinct, dim 12, classify_failures' {0.35, 2}): each point repeats one
+// of `distinct` bases, with a skew toward a few very common logs.
 static void BM_Dbscan(benchmark::State& state) {
   support::Rng rng(7);
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto distinct = static_cast<std::size_t>(state.range(1));
   std::vector<std::vector<double>> points;
-  for (int i = 0; i < state.range(0); ++i) {
-    std::vector<double> p(8);
-    const double center = static_cast<double>(i % 4);
-    for (auto& x : p) x = center + rng.uniform(-0.1, 0.1);
-    points.push_back(std::move(p));
+  cluster::DbscanConfig config{0.5, 3};
+  if (distinct == n) {
+    for (std::size_t i = 0; i < n; ++i) {
+      std::vector<double> p(8);
+      const double center = static_cast<double>(i % 4);
+      for (auto& x : p) x = center + rng.uniform(-0.1, 0.1);
+      points.push_back(std::move(p));
+    }
+  } else {
+    config = {0.35, 2};
+    std::vector<std::vector<double>> bases;
+    for (std::size_t i = 0; i < distinct; ++i) {
+      std::vector<double> p(12);
+      const double center = static_cast<double>(i % 6) * 0.3;
+      for (auto& x : p) x = center + rng.uniform(-0.15, 0.15);
+      bases.push_back(std::move(p));
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      // Every base at least once, then squared-uniform picks: low indices
+      // (the common logs) dominate.
+      const double u = rng.next_double();
+      points.push_back(
+          bases[i < distinct ? i
+                             : static_cast<std::size_t>(u * u * distinct)]);
+    }
   }
   for (auto _ : state) {
-    auto labels = cluster::dbscan(points, {0.5, 3});
+    auto labels = cluster::dbscan(points, config);
     benchmark::DoNotOptimize(labels);
   }
 }
-BENCHMARK(BM_Dbscan)->Arg(64)->Arg(256);
+BENCHMARK(BM_Dbscan)->Args({64, 64})->Args({256, 256})->Args({3359, 225});
 
+// classify_failures' configuration (dim 12, 6 epochs).
 static void BM_Word2Vec(benchmark::State& state) {
   std::vector<std::vector<std::string>> docs;
   for (int i = 0; i < 40; ++i) {
@@ -222,7 +250,8 @@ static void BM_Word2Vec(benchmark::State& state) {
   for (auto _ : state) {
     text::Word2Vec w2v;
     text::Word2VecConfig cfg;
-    cfg.epochs = 3;
+    cfg.dim = 12;
+    cfg.epochs = 6;
     w2v.train(docs, cfg);
     benchmark::DoNotOptimize(w2v.vocabulary_size());
   }

@@ -1,7 +1,9 @@
 #include "agents/techniques.hpp"
 
+#include <atomic>
 #include <map>
 #include <mutex>
+#include <tuple>
 
 #include "codeanal/functions.hpp"
 #include "codeanal/includes.hpp"
@@ -189,7 +191,85 @@ long long swe_tokens(const AppSpec& app, const vfs::Repo& src,
   return in;
 }
 
+// ------------------------------------------------- per-process cache --
+
+std::atomic<std::uint64_t> g_token_model_runs{0};
+
+std::uint64_t fold(std::uint64_t h, std::uint64_t v) {
+  return support::SplitMix64(h ^ v).next();
+}
+
+/// Content hash of everything generation reads from the app: the source
+/// repo (paths and contents), the name (the executable the generated build
+/// file targets), the array-extent hints and the prompt addenda. Two apps
+/// registered under one name but with different sources hash apart.
+std::uint64_t app_content_hash(const AppSpec& app, apps::Model from) {
+  std::uint64_t h = support::stable_hash(std::string("pareval-app-v1"));
+  app.repos.at(from).for_each_file(
+      [&h](const std::string& path, const std::string& content) {
+        h = fold(h, support::stable_hash(path));
+        h = fold(h, support::stable_hash(content));
+      });
+  h = fold(h, support::stable_hash(app.name));
+  h = fold(h, app.array_extents.size());
+  for (const auto& [param, extent] : app.array_extents) {
+    h = fold(h, support::stable_hash(param));
+    h = fold(h, support::stable_hash(extent));
+  }
+  h = fold(h, support::stable_hash(app.cli_spec));
+  h = fold(h, support::stable_hash(app.build_spec_make));
+  return fold(h, support::stable_hash(app.build_spec_cmake));
+}
+
+/// Token counts of one technique under one profile's token-relevant fields.
+struct TokenCounts {
+  std::once_flag computed;
+  long long input = 0;
+  long long output = 0;
+};
+
+/// Everything generation derives from fixed inputs, per (app content,
+/// pair): the pre-defect reference translation (the "model capability";
+/// samples differ only in their injected defects) and the token counts,
+/// which draw nothing from the RNG. Each is computed once per process,
+/// never evicted, and read without the cache lock once computed.
+struct ReferenceEntry {
+  std::once_flag translated;
+  vfs::Repo repo;
+  std::map<std::tuple<Technique, double, long long, double>, TokenCounts>
+      tokens;  // structure guarded by the cache lock
+};
+
+struct CacheSlots {
+  ReferenceEntry& entry;
+  TokenCounts& tokens;
+};
+
+/// Find or create, under one lock, the entry for (app content, pair) and
+/// its token slot for (technique, token-relevant profile fields). Map
+/// nodes are stable, so both are handed out by reference.
+CacheSlots cache_slots(const AppSpec& app, const Pair& pair,
+                       Technique technique, const LlmProfile& profile) {
+  static std::mutex mu;
+  static std::map<std::tuple<std::uint64_t, apps::Model, apps::Model>,
+                  ReferenceEntry>
+      entries;
+  const auto key =
+      std::make_tuple(app_content_hash(app, pair.from), pair.from, pair.to);
+  std::lock_guard<std::mutex> lock(mu);
+  ReferenceEntry& entry = entries[key];
+  TokenCounts& tokens =
+      entry.tokens[{technique, profile.output_multiplier,
+                    profile.context_tokens,
+                    profile.topdown_context_fraction}];
+  return {entry, tokens};
+}
+
 }  // namespace
+
+std::uint64_t token_model_runs() {
+  return g_token_model_runs.load();
+}
 
 std::string build_nonagentic_prompt(const AppSpec& app,
                                     const vfs::Repo& repo,
@@ -272,48 +352,44 @@ TranslationResult run_technique(const AppSpec& app, Technique technique,
     return result;
   }
 
-  // The "model capability": a correct reference translation. Cached per
-  // (app, pair): the transpile is deterministic and samples differ only in
-  // their injected defects.
-  static std::map<std::string, vfs::Repo> cache;
-  static std::mutex cache_mu;
-  const std::string key = app.name + "|" + llm::pair_name(pair);
-  {
-    std::lock_guard<std::mutex> lock(cache_mu);
-    const auto hit = cache.find(key);
-    if (hit != cache.end()) {
-      result.repo = hit->second;
-    } else {
-      xlate::TranspileLog log;
-      result.repo = xlate::transpile_repo(app, pair.from, pair.to, log);
-      cache.emplace(key, result.repo);
-    }
-  }
+  const auto [entry, tokens] = cache_slots(app, pair, technique, profile);
   const vfs::Repo& src = app.repos.at(pair.from);
+  std::call_once(entry.translated, [&] {
+    xlate::TranspileLog log;
+    entry.repo = xlate::transpile_repo(app, pair.from, pair.to, log);
+  });
+  result.repo = entry.repo;
 
-  switch (technique) {
-    case Technique::NonAgentic:
-      result.input_tokens = nonagentic_tokens(app, src, result.repo, profile,
-                                              pair, &result.output_tokens);
-      break;
-    case Technique::TopDown:
-      result.input_tokens = topdown_tokens(app, src, result.repo, profile,
-                                           pair, &result.output_tokens);
-      break;
-    case Technique::SweAgent: {
-      result.input_tokens = swe_tokens(app, src, result.repo, profile, pair,
-                                       &result.output_tokens);
-      // SWE-agent needs a git repository (§3.3).
-      result.repo.write(".git/HEAD", "ref: refs/heads/main\n");
-      // Its editor replaces tabs with spaces, breaking Makefiles.
-      if (result.repo.exists("Makefile")) {
-        result.repo.write("Makefile",
-                          support::replace_all(result.repo.at("Makefile"),
-                                               "\t", "    "));
-        result.defects.push_back(
-            "SWE-agent: Makefile tabs replaced with spaces");
-      }
-      break;
+  std::call_once(tokens.computed, [&] {
+    ++g_token_model_runs;
+    switch (technique) {
+      case Technique::NonAgentic:
+        tokens.input = nonagentic_tokens(app, src, entry.repo, profile, pair,
+                                         &tokens.output);
+        break;
+      case Technique::TopDown:
+        tokens.input = topdown_tokens(app, src, entry.repo, profile, pair,
+                                      &tokens.output);
+        break;
+      case Technique::SweAgent:
+        tokens.input =
+            swe_tokens(app, src, entry.repo, profile, pair, &tokens.output);
+        break;
+    }
+  });
+  result.input_tokens = tokens.input;
+  result.output_tokens = tokens.output;
+
+  if (technique == Technique::SweAgent) {
+    // SWE-agent needs a git repository (§3.3).
+    result.repo.write(".git/HEAD", "ref: refs/heads/main\n");
+    // Its editor replaces tabs with spaces, breaking Makefiles.
+    if (result.repo.exists("Makefile")) {
+      result.repo.write("Makefile",
+                        support::replace_all(result.repo.at("Makefile"),
+                                             "\t", "    "));
+      result.defects.push_back(
+          "SWE-agent: Makefile tabs replaced with spaces");
     }
   }
 

@@ -7,6 +7,7 @@
 // "model capability", and the calibrated defect injector degrades the
 // output to the quality the paper measured for that LLM.
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -48,6 +49,12 @@ TranslationResult run_technique(const apps::AppSpec& app,
                                 const llm::Pair& pair, support::Rng& rng,
                                 const std::optional<llm::CellScores>& scores,
                                 const std::string& absence_reason);
+
+/// How many times a token model actually ran in this process. Token counts
+/// are memoized per (app content, pair, technique, token-relevant profile
+/// fields), so this stays at the number of distinct cells however many
+/// samples each cell draws.
+std::uint64_t token_model_runs();
 
 // ---- prompt builders (exposed for tests and token-economy analysis) ----
 

@@ -14,7 +14,9 @@ struct DbscanConfig {
 };
 
 /// Cluster `points` (row-major, uniform dimension). Returns one label per
-/// point: 0..k-1 for clusters, -1 for noise.
+/// point: 0..k-1 for clusters, -1 for noise. Bit-identical points share
+/// one region query, so the cost is quadratic in the number of *distinct*
+/// points; labels equal the textbook scan's exactly.
 std::vector<int> dbscan(const std::vector<std::vector<double>>& points,
                         const DbscanConfig& config);
 

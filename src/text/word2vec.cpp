@@ -59,7 +59,18 @@ void Word2Vec::train(const std::vector<std::vector<std::string>>& docs,
     if (ids.size() > 1) indexed.push_back(std::move(ids));
   }
 
-  std::vector<double> grad(d);
+  // One SGD loop over raw rows: the centre word's input row, each sampled
+  // target's output row and the gradient buffer never alias, which lets
+  // the compiler keep them in registers. The operation order, std::exp in
+  // sigmoid and the next_below draws must stay as they are: classification
+  // labels depend on these embeddings bit for bit.
+  constexpr std::size_t kStackDim = 64;
+  double grad_stack[kStackDim];
+  std::vector<double> grad_heap(d > kStackDim ? d : 0);
+  double* const __restrict grad =
+      d > kStackDim ? grad_heap.data() : grad_stack;
+  double* const in = in_.data();
+  double* const out = out_.data();
   for (int epoch = 0; epoch < config.epochs; ++epoch) {
     const double lr = config.lr * (1.0 - static_cast<double>(epoch) /
                                              config.epochs) + 1e-4;
@@ -71,10 +82,11 @@ void Word2Vec::train(const std::vector<std::vector<std::string>>& docs,
                 : 0;
         const std::size_t hi =
             std::min(ids.size() - 1, center + config.window);
+        double* const __restrict word =
+            in + static_cast<std::size_t>(ids[center]) * d;
         for (std::size_t ctx = lo; ctx <= hi; ++ctx) {
           if (ctx == center) continue;
-          const std::size_t wi = static_cast<std::size_t>(ids[center]) * d;
-          std::fill(grad.begin(), grad.end(), 0.0);
+          std::fill(grad, grad + d, 0.0);
           // Positive + negative samples.
           for (int n = 0; n <= config.negatives; ++n) {
             std::size_t target;
@@ -88,18 +100,16 @@ void Word2Vec::train(const std::vector<std::vector<std::string>>& docs,
               if (target == static_cast<std::size_t>(ids[ctx])) continue;
               label = 0.0;
             }
-            const std::size_t ti = target * d;
+            double* const __restrict row = out + target * d;
             double dot = 0.0;
-            for (std::size_t k = 0; k < d; ++k) {
-              dot += in_[wi + k] * out_[ti + k];
-            }
+            for (std::size_t k = 0; k < d; ++k) dot += word[k] * row[k];
             const double g = (sigmoid(dot) - label) * lr;
             for (std::size_t k = 0; k < d; ++k) {
-              grad[k] += g * out_[ti + k];
-              out_[ti + k] -= g * in_[wi + k];
+              grad[k] += g * row[k];
+              row[k] -= g * word[k];
             }
           }
-          for (std::size_t k = 0; k < d; ++k) in_[wi + k] -= grad[k];
+          for (std::size_t k = 0; k < d; ++k) word[k] -= grad[k];
         }
       }
     }

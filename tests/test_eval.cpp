@@ -9,7 +9,10 @@
 #include "eval/harness.hpp"
 #include "eval/metrics.hpp"
 #include "eval/report.hpp"
+#include "support/par.hpp"
 #include "support/strings.hpp"
+#include "text/tokens.hpp"
+#include "translate/transpile.hpp"
 
 using namespace pareval;
 using llm::Technique;
@@ -194,6 +197,115 @@ TEST(Technique, TopDownPricierForLocalModels) {
   const auto td = agents::run_technique(
       *apps::find_app("microXOR"), Technique::TopDown, *prof, pair, r2);
   EXPECT_GT(agents::total_tokens(td), agents::total_tokens(na));
+}
+
+TEST(Technique, TokenCountsPinnedPerTechnique) {
+  // One cell per technique, pinned: the token models are pure functions of
+  // the source repo, the reference translation, the pair and the profile,
+  // so memoizing them must not move a single count.
+  struct Pinned {
+    const char* app;
+    Technique technique;
+    const char* llm;
+    std::size_t pair;
+    long long input, output;
+  };
+  const Pinned cells[] = {
+      {"XSBench", Technique::NonAgentic, "o4-mini", 0, 33617, 6339},
+      {"llm.c", Technique::TopDown, "Llama-3.3-70B", 0, 26382, 3205},
+      {"nanoXOR", Technique::SweAgent, "gpt-4o-mini", 1, 1530, 580},
+  };
+  for (const Pinned& c : cells) {
+    support::Rng rng(7);
+    const auto r = agents::run_technique(
+        *apps::find_app(c.app), c.technique, *llm::find_profile(c.llm),
+        llm::all_pairs()[c.pair], rng);
+    ASSERT_TRUE(r.generated) << c.app;
+    EXPECT_EQ(r.input_tokens, c.input) << c.app;
+    EXPECT_EQ(r.output_tokens, c.output) << c.app;
+  }
+}
+
+namespace {
+
+/// Calibration under which no defect is ever injected: the sample's repo
+/// is then exactly the reference translation.
+constexpr llm::CellScores kFlawless{1.0, 1.0, 1.0, 1.0};
+
+/// The non-agentic token model recomputed from the public prompt builders.
+std::pair<long long, long long> nonagentic_oracle(const apps::AppSpec& app,
+                                                  const llm::LlmProfile& prof,
+                                                  const llm::Pair& pair) {
+  xlate::TranspileLog log;
+  const vfs::Repo translated =
+      xlate::transpile_repo(app, pair.from, pair.to, log);
+  const vfs::Repo& src = app.repos.at(pair.from);
+  long long in = 0, out = 0;
+  translated.for_each_file([&](const std::string& path,
+                               const std::string& content) {
+    in += text::approx_tokens(
+        agents::build_nonagentic_prompt(app, src, path, pair));
+    out += static_cast<long long>(
+        static_cast<double>(text::approx_tokens(content)) *
+        prof.output_multiplier);
+  });
+  return {in, out};
+}
+
+}  // namespace
+
+TEST(Technique, SameNamedAppsWithDifferentSourcesKeepTheirOwnTranslation) {
+  // A custom suite may register an app under a name that is already in
+  // use. The reference translation (and the token counts derived from it)
+  // must follow the source content, not the name.
+  const auto pair = llm::all_pairs()[0];
+  const auto* prof = llm::find_profile("o4-mini");
+  apps::AppSpec first = *apps::find_app("nanoXOR");
+  first.name = "twin-app";
+  apps::AppSpec second = first;
+  second.repos[pair.from].write("twin.cu",
+                                "int twin_extra(int x) { return x + 1; }\n");
+  for (const apps::AppSpec* app : {&first, &second}) {
+    support::Rng rng(3);
+    const auto r = agents::run_technique(*app, Technique::NonAgentic, *prof,
+                                         pair, rng, kFlawless, "");
+    ASSERT_TRUE(r.generated);
+    EXPECT_TRUE(r.defects.empty());
+    xlate::TranspileLog log;
+    EXPECT_EQ(r.repo, xlate::transpile_repo(*app, pair.from, pair.to, log));
+    const auto [in, out] = nonagentic_oracle(*app, *prof, pair);
+    EXPECT_EQ(r.input_tokens, in);
+    EXPECT_EQ(r.output_tokens, out);
+  }
+}
+
+TEST(Technique, PooledSamplesOfOneCellReportIdenticalTokens) {
+  // All samples of one cell race on the shared per-process cache from the
+  // global pool; each must see the same counts as a serial computation.
+  const auto pair = llm::all_pairs()[0];
+  const auto* prof = llm::find_profile("gpt-4o-mini");
+  apps::AppSpec app = *apps::find_app("microXORh");
+  app.name = "pooled-app";  // a cache entry no other test has touched
+  const auto scores = llm::calibration_lookup(prof->name, Technique::NonAgentic,
+                                              pair, "microXORh");
+  ASSERT_TRUE(scores.has_value());
+  constexpr std::size_t kSamples = 24;
+  std::vector<std::pair<long long, long long>> got(kSamples);
+  support::parallel_for(0, kSamples, [&](std::size_t i) {
+    support::Rng rng(100 + i);
+    const auto r = agents::run_technique(app, Technique::NonAgentic, *prof,
+                                         pair, rng, scores, "");
+    got[i] = {r.input_tokens, r.output_tokens};
+  });
+  const auto oracle = nonagentic_oracle(app, *prof, pair);
+  support::Rng rng(1);
+  const auto serial = agents::run_technique(app, Technique::NonAgentic, *prof,
+                                            pair, rng, scores, "");
+  EXPECT_EQ(std::make_pair(serial.input_tokens, serial.output_tokens),
+            oracle);
+  for (std::size_t i = 0; i < kSamples; ++i) {
+    EXPECT_EQ(got[i], oracle) << "sample " << i;
+  }
 }
 
 // ------------------------------------------------------------ harness ---

@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "agents/techniques.hpp"
 #include "buildsim/linkcache.hpp"
 #include "buildsim/tucache.hpp"
 #include "common.hpp"
@@ -331,6 +332,13 @@ int main(int argc, char** argv) {
               static_cast<long long>(cache.links().hits()));
   context.set("link_cache_misses",
               static_cast<long long>(cache.links().misses()));
+  // Token models are memoized per cell, so the runs must not exceed the
+  // cells that generated anything (CI gates this counter).
+  long long generated_cells = 0;
+  for (const auto& task : all) generated_cells += task.ran ? 1 : 0;
+  context.set("generated_cells", generated_cells);
+  context.set("token_model_runs",
+              static_cast<long long>(agents::token_model_runs()));
   root.set("context", std::move(context));
 
   if (!cache_stats_path.empty()) {
