@@ -5,6 +5,7 @@
 #include <mutex>
 #include <tuple>
 
+#include "buildsim/tucache.hpp"
 #include "codeanal/functions.hpp"
 #include "codeanal/includes.hpp"
 #include "support/strings.hpp"
@@ -104,6 +105,8 @@ void inject_calibrated_defects(const AppSpec& app, const LlmProfile& profile,
 }
 
 // ------------------------------------------------------- token models --
+// These read only the AppSpec fields app_content_hash keys on, so their
+// counts are cached per (app content, pair, technique, profile fields).
 
 long long nonagentic_tokens(const AppSpec& app, const vfs::Repo& src,
                             const vfs::Repo& translated,
@@ -195,30 +198,31 @@ long long swe_tokens(const AppSpec& app, const vfs::Repo& src,
 
 std::atomic<std::uint64_t> g_token_model_runs{0};
 
-std::uint64_t fold(std::uint64_t h, std::uint64_t v) {
-  return support::SplitMix64(h ^ v).next();
-}
-
-/// Content hash of everything generation reads from the app: the source
-/// repo (paths and contents), the name (the executable the generated build
+/// Cache key of everything generation reads from the app: the source
+/// repo's content hash, then the name (the executable the generated build
 /// file targets), the array-extent hints and the prompt addenda. Two apps
 /// registered under one name but with different sources hash apart.
+/// transpile_repo and the token models below read nothing else of the
+/// AppSpec; a new field read there must be added here, or the
+/// never-evicted cache serves a stale translation.
 std::uint64_t app_content_hash(const AppSpec& app, apps::Model from) {
-  std::uint64_t h = support::stable_hash(std::string("pareval-app-v1"));
-  app.repos.at(from).for_each_file(
-      [&h](const std::string& path, const std::string& content) {
-        h = fold(h, support::stable_hash(path));
-        h = fold(h, support::stable_hash(content));
-      });
-  h = fold(h, support::stable_hash(app.name));
-  h = fold(h, app.array_extents.size());
+  std::string fields;
+  auto put = [&fields](const std::string& s) {
+    fields += std::to_string(s.size());
+    fields += ':';
+    fields += s;
+  };
+  put(app.name);
   for (const auto& [param, extent] : app.array_extents) {
-    h = fold(h, support::stable_hash(param));
-    h = fold(h, support::stable_hash(extent));
+    put(param);
+    put(extent);
   }
-  h = fold(h, support::stable_hash(app.cli_spec));
-  h = fold(h, support::stable_hash(app.build_spec_make));
-  return fold(h, support::stable_hash(app.build_spec_cmake));
+  put(app.cli_spec);
+  put(app.build_spec_make);
+  put(app.build_spec_cmake);
+  return support::SplitMix64(buildsim::repo_content_hash(app.repos.at(from)) ^
+                             support::stable_hash(fields))
+      .next();
 }
 
 /// Token counts of one technique under one profile's token-relevant fields.

@@ -64,11 +64,8 @@ void Word2Vec::train(const std::vector<std::vector<std::string>>& docs,
   // the compiler keep them in registers. The operation order, std::exp in
   // sigmoid and the next_below draws must stay as they are: classification
   // labels depend on these embeddings bit for bit.
-  constexpr std::size_t kStackDim = 64;
-  double grad_stack[kStackDim];
-  std::vector<double> grad_heap(d > kStackDim ? d : 0);
-  double* const __restrict grad =
-      d > kStackDim ? grad_heap.data() : grad_stack;
+  std::vector<double> grad_buf(d);
+  double* const __restrict grad = grad_buf.data();
   double* const in = in_.data();
   double* const out = out_.data();
   for (int epoch = 0; epoch < config.epochs; ++epoch) {

@@ -35,6 +35,9 @@ std::string transpile_file(const apps::AppSpec& app, const vfs::Repo& repo,
                            apps::Model to, TranspileLog& log);
 
 /// Translate a whole repository (sources + generated build file + renames).
+/// agents::run_technique caches the result per process under a key of the
+/// AppSpec fields read here (app_content_hash in agents/techniques.cpp);
+/// reading another field means adding it to that key.
 vfs::Repo transpile_repo(const apps::AppSpec& app, apps::Model from,
                          apps::Model to, TranspileLog& log);
 
