@@ -15,6 +15,7 @@
 #include "apps/app.hpp"
 #include "buildsim/builder.hpp"
 #include "cluster/dbscan.hpp"
+#include "codeanal/lexer.hpp"
 #include "eval/harness.hpp"
 #include "eval/metrics.hpp"
 #include "execsim/driver.hpp"
@@ -195,6 +196,33 @@ static void BM_TranspileCudaToOmp(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TranspileCudaToOmp);
+
+// Lex every C/C++ source file of every shipped implementation; the
+// bytes/s counter is the lexer's throughput.
+static void BM_Lex(benchmark::State& state) {
+  std::vector<std::string> sources;
+  for (const auto* app : apps::all_apps()) {
+    for (const auto& [model, repo] : app->repos) {
+      repo.for_each_file([&](const std::string& path,
+                             const std::string& content) {
+        const std::string ext = vfs::extension(path);
+        if (ext == ".c" || ext == ".cpp" || ext == ".cu" || ext == ".h" ||
+            ext == ".hpp" || ext == ".cuh") {
+          sources.push_back(content);
+        }
+      });
+    }
+  }
+  std::int64_t bytes = 0;
+  for (const auto& s : sources) bytes += static_cast<std::int64_t>(s.size());
+  for (auto _ : state) {
+    for (const auto& s : sources) {
+      benchmark::DoNotOptimize(codeanal::lex(s).tokens.size());
+    }
+  }
+  state.SetBytesProcessed(state.iterations() * bytes);
+}
+BENCHMARK(BM_Lex);
 
 // Args: (points, distinct). distinct == points is the continuous case:
 // four blobs of jittered 8-d points at {0.5, 3}. distinct < points is

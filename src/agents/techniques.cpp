@@ -361,6 +361,7 @@ TranslationResult run_technique(const AppSpec& app, Technique technique,
   std::call_once(entry.translated, [&] {
     xlate::TranspileLog log;
     entry.repo = xlate::transpile_repo(app, pair.from, pair.to, log);
+    xlate::analyse_defect_sites(entry.repo);
   });
   result.repo = entry.repo;
 

@@ -1,5 +1,6 @@
 #include "codeanal/functions.hpp"
 
+#include "codeanal/analysis.hpp"
 #include "support/strings.hpp"
 
 namespace pareval::codeanal {
@@ -85,8 +86,7 @@ std::vector<FunctionSpan> find_functions(const std::vector<Token>& toks) {
 
 std::vector<Chunk> split_into_chunks(std::string_view source,
                                      std::size_t max_chunk_bytes) {
-  const LexResult lexed = lex(source);
-  const auto fns = find_functions(lexed.tokens);
+  const auto& fns = analyse(source).functions;
   const auto lines = support::split_lines(source);
 
   auto slice_lines = [&](int from_line, int to_line) {  // 1-based inclusive

@@ -35,7 +35,8 @@ struct Chunk {
 
 /// Split a source file at function boundaries such that no chunk exceeds
 /// `max_chunk_bytes` where possible. File-scope preamble (includes,
-/// globals) forms its own chunk. This is the chunk agent's splitter.
+/// globals) forms its own chunk. This is the chunk agent's splitter; it
+/// reads the memoised Analysis of `source` (see analysis.hpp).
 std::vector<Chunk> split_into_chunks(std::string_view source,
                                      std::size_t max_chunk_bytes);
 

@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <set>
 
-#include "codeanal/lexer.hpp"
-#include "support/strings.hpp"
+#include "codeanal/analysis.hpp"
 
 namespace pareval::codeanal {
 
@@ -18,46 +17,24 @@ bool is_source_path(const std::string& path) {
 
 }  // namespace
 
-std::vector<IncludeRef> scan_includes(std::string_view source) {
-  std::vector<IncludeRef> out;
-  for (const Token& t : lex(source).tokens) {
-    if (t.kind != TokKind::PpDirective) continue;
-    std::string_view body = support::trim(t.text);
-    if (!body.starts_with("#")) continue;
-    body.remove_prefix(1);
-    body = support::trim(body);
-    if (!body.starts_with("include")) continue;
-    body.remove_prefix(7);
-    body = support::trim(body);
-    if (body.size() >= 2 && body.front() == '"') {
-      const auto close = body.find('"', 1);
-      if (close != std::string_view::npos) {
-        out.push_back({std::string(body.substr(1, close - 1)), false, t.line});
-      }
-    } else if (body.size() >= 2 && body.front() == '<') {
-      const auto close = body.find('>', 1);
-      if (close != std::string_view::npos) {
-        out.push_back({std::string(body.substr(1, close - 1)), true, t.line});
-      }
-    }
-  }
-  return out;
+const std::vector<IncludeRef>& scan_includes(std::string_view source) {
+  return analyse(source).includes;
 }
 
 IncludeGraph build_include_graph(const vfs::Repo& repo) {
   IncludeGraph g;
-  for (const auto& f : repo.files()) {
-    if (!is_source_path(f.path)) continue;
-    g.edges[f.path];  // ensure the node exists
-    for (const IncludeRef& inc : scan_includes(f.content)) {
+  repo.for_each_file([&](const std::string& path, const std::string& content) {
+    if (!is_source_path(path)) return;
+    g.edges[path];  // ensure the node exists
+    for (const IncludeRef& inc : scan_includes(content)) {
       if (inc.angled) {
-        g.system_includes[f.path].push_back(inc.target);
+        g.system_includes[path].push_back(inc.target);
         continue;
       }
       // Quoted include: resolve relative to the including file first,
       // then relative to the repo root (matching our simulated compilers).
       std::string resolved;
-      const std::string sibling = vfs::join_path(vfs::dirname(f.path), inc.target);
+      const std::string sibling = vfs::join_path(vfs::dirname(path), inc.target);
       if (repo.exists(sibling)) {
         resolved = sibling;
       } else {
@@ -65,12 +42,12 @@ IncludeGraph build_include_graph(const vfs::Repo& repo) {
         if (repo.exists(rooted)) resolved = rooted;
       }
       if (resolved.empty()) {
-        g.unresolved[f.path].push_back(inc.target);
+        g.unresolved[path].push_back(inc.target);
       } else {
-        g.edges[f.path].push_back(resolved);
+        g.edges[path].push_back(resolved);
       }
     }
-  }
+  });
   return g;
 }
 

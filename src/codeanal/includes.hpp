@@ -20,8 +20,9 @@ struct IncludeRef {
   int line = 0;
 };
 
-/// All #include directives in one source text.
-std::vector<IncludeRef> scan_includes(std::string_view source);
+/// All #include directives in one source text, from its memoised
+/// Analysis (see analysis.hpp: pass only fixed inputs).
+const std::vector<IncludeRef>& scan_includes(std::string_view source);
 
 /// The per-repository include graph over repo files. System includes are
 /// recorded but produce no edges.

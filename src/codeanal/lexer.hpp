@@ -4,6 +4,7 @@
 // pragmas, restricted Kokkos C++). Shared by the code-analysis tools, the
 // MiniC parser, the build simulator and the translation engines.
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -51,6 +52,10 @@ struct LexResult {
 /// Tokenise a source file. Comments are skipped; '#' lines become single
 /// PpDirective tokens with backslash continuations folded in.
 LexResult lex(std::string_view source);
+
+/// Process-wide number of lex() calls so far (a counter, for gates that
+/// must not scale with samples per cell).
+std::uint64_t lex_calls();
 
 /// Strip // and /* */ comments, preserving line structure (used by the
 /// SLoC counter and the translation engines).

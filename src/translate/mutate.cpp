@@ -2,9 +2,7 @@
 
 #include <algorithm>
 
-#include "codeanal/functions.hpp"
-#include "codeanal/includes.hpp"
-#include "codeanal/lexer.hpp"
+#include "codeanal/analysis.hpp"
 #include "support/strings.hpp"
 
 namespace pareval::xlate {
@@ -210,8 +208,7 @@ DefectOutcome undeclared_id(vfs::Repo& repo, Rng& rng) {
   // failure.
   for (const auto& path : source_paths(repo, rng)) {
     const std::string& text = repo.at(path);
-    const auto lexed = codeanal::lex(text);
-    for (const auto& fn : codeanal::find_functions(lexed.tokens)) {
+    for (const auto& fn : codeanal::analyse(text).functions) {
       if (fn.name == "main") continue;
       // Only worthwhile if the name is used elsewhere too.
       std::size_t uses = 0;
@@ -250,8 +247,7 @@ DefectOutcome arg_mismatch(vfs::Repo& repo, Rng& rng) {
   std::vector<std::string> defined;
   for (const auto& path : repo.paths()) {
     if (!is_source_file(path)) continue;
-    const auto lexed = codeanal::lex(repo.at(path));
-    for (const auto& fn : codeanal::find_functions(lexed.tokens)) {
+    for (const auto& fn : codeanal::analyse(repo.at(path)).functions) {
       if (fn.name != "main") defined.push_back(fn.name);
     }
   }
@@ -318,9 +314,7 @@ DefectOutcome link_error(vfs::Repo& repo, Rng& rng) {
     const std::string ext = vfs::extension(path);
     if (ext == ".h" || ext == ".hpp" || ext == ".cuh") continue;
     const std::string& text = repo.at(path);
-    const auto lexed = codeanal::lex(text);
-    const auto fns = codeanal::find_functions(lexed.tokens);
-    for (const auto& fn : fns) {
+    for (const auto& fn : codeanal::analyse(text).functions) {
       if (fn.name == "main") continue;
       bool used_elsewhere = false;
       for (const auto& other : repo.paths()) {
@@ -396,6 +390,12 @@ const char* defect_name(DefectKind k) {
     case DefectKind::Semantic: return "Semantic (wrong answer)";
   }
   return "?";
+}
+
+void analyse_defect_sites(const vfs::Repo& repo) {
+  repo.for_each_file([](const std::string& path, const std::string& content) {
+    if (is_source_file(path)) codeanal::analyse(content);
+  });
 }
 
 bool is_build_file_defect(DefectKind k) {

@@ -47,6 +47,11 @@ struct DefectOutcome {
 DefectOutcome inject_defect(vfs::Repo& repo, DefectKind kind,
                             support::Rng& rng);
 
+/// Analyse every source file of a defect-free repository up front (see
+/// codeanal/analysis.hpp), so the files the injectors lex depend on the
+/// repository alone, not on which kinds its samples happen to draw.
+void analyse_defect_sites(const vfs::Repo& repo);
+
 /// All kinds, in Figure 3 row order (Semantic last; it is not a build
 /// error category in the paper's figure).
 const std::vector<DefectKind>& all_defect_kinds();

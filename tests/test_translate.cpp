@@ -5,8 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include "agents/techniques.hpp"
 #include "apps/app.hpp"
 #include "buildsim/builder.hpp"
+#include "codeanal/analysis.hpp"
+#include "eval/harness.hpp"
+#include "eval/spec.hpp"
+#include "eval/suite.hpp"
+#include "support/par.hpp"
 #include "translate/mutate.hpp"
 #include "translate/transpile.hpp"
 
@@ -286,4 +292,33 @@ TEST(Mutators, EveryKindHasANameAndOrder) {
   for (const auto k : px::all_defect_kinds()) {
     EXPECT_NE(std::string(px::defect_name(k)), "?");
   }
+}
+
+// The defect injectors read each file's memoised codeanal::Analysis. They
+// only ever see source repos and pre-defect reference translations, so the
+// memo is bounded by those fixed inputs: once one seed's generation pass
+// has filled it, another seed's pass adds no entry.
+TEST(Mutators, AnalysisMemoStopsGrowingAcrossSeeds) {
+  const auto& suite = pareval::eval::Suite::paper();
+  auto spec = pareval::eval::SweepSpec::paper();
+  const auto cells = pareval::eval::sweep_cells(suite, spec);
+  ASSERT_FALSE(cells.empty());
+  auto generate_all = [&](std::uint64_t seed) {
+    constexpr int kSamples = 6;
+    pareval::support::parallel_for(
+        0, cells.size() * kSamples, [&](std::size_t k) {
+          const auto& cell = cells[k / kSamples];
+          pareval::support::Rng rng(
+              seed ^ pareval::support::stable_hash(
+                         cell.profile->name + "|" + cell.app->name + "#" +
+                         std::to_string(k)));
+          pareval::agents::run_technique(*cell.app, cell.technique,
+                                         *cell.profile, cell.pair, rng);
+        });
+  };
+  generate_all(1070);
+  const auto filled = pareval::codeanal::analysis_runs();
+  EXPECT_GT(filled, 0u);
+  generate_all(2024);
+  EXPECT_EQ(pareval::codeanal::analysis_runs(), filled);
 }

@@ -22,6 +22,7 @@
 #include "agents/techniques.hpp"
 #include "buildsim/linkcache.hpp"
 #include "buildsim/tucache.hpp"
+#include "codeanal/analysis.hpp"
 #include "common.hpp"
 #include "eval/classify.hpp"
 #include "execsim/driver.hpp"
@@ -339,6 +340,12 @@ int main(int argc, char** argv) {
   context.set("generated_cells", generated_cells);
   context.set("token_model_runs",
               static_cast<long long>(agents::token_model_runs()));
+  // Generation analyses each distinct fixed file once, so on a fully-warm
+  // store (no builds, hence no preprocessing) lex calls must not grow with
+  // samples per cell (CI gates both counters).
+  context.set("lex_calls", static_cast<long long>(codeanal::lex_calls()));
+  context.set("analysis_runs",
+              static_cast<long long>(codeanal::analysis_runs()));
   root.set("context", std::move(context));
 
   if (!cache_stats_path.empty()) {
