@@ -267,14 +267,38 @@ static void BM_Dbscan(benchmark::State& state) {
 }
 BENCHMARK(BM_Dbscan)->Args({64, 64})->Args({256, 256})->Args({3359, 225});
 
-// classify_failures' configuration (dim 12, 6 epochs).
+// classify_failures' configuration (dim 12, 6 epochs). Arg 40: a small
+// fixed corpus. Arg 3400: shaped like the paper's failure-log corpus —
+// 3,400 logs of ~29 tokens over a skewed ~320-word vocabulary, ~7% of
+// them distinct. Items are (centre, context) pairs over all epochs.
 static void BM_Word2Vec(benchmark::State& state) {
   std::vector<std::vector<std::string>> docs;
-  for (int i = 0; i < 40; ++i) {
-    docs.push_back({"error", "undeclared", "identifier",
-                    i % 2 ? "kernel" : "makefile", "line",
-                    std::to_string(i % 5)});
+  if (state.range(0) == 40) {
+    for (int i = 0; i < 40; ++i) {
+      docs.push_back({"error", "undeclared", "identifier",
+                      i % 2 ? "kernel" : "makefile", "line",
+                      std::to_string(i % 5)});
+    }
+  } else {
+    support::Rng rng(11);
+    const auto n = static_cast<std::size_t>(state.range(0));
+    const std::size_t distinct = n * 7 / 100;
+    std::vector<std::vector<std::string>> logs(distinct);
+    for (auto& log : logs) {
+      for (std::size_t len = 20 + rng.next_below(19); len > 0; --len) {
+        // Squared-uniform picks: low word ids (the common tokens) dominate.
+        const double u = rng.next_double();
+        log.emplace_back(1, 'w');
+        log.back() += std::to_string(static_cast<int>(u * u * 320));
+      }
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      const double u = rng.next_double();
+      docs.push_back(
+          logs[i < distinct ? i : static_cast<std::size_t>(u * u * distinct)]);
+    }
   }
+  const std::uint64_t pairs_before = text::word2vec_pairs();
   for (auto _ : state) {
     text::Word2Vec w2v;
     text::Word2VecConfig cfg;
@@ -283,8 +307,10 @@ static void BM_Word2Vec(benchmark::State& state) {
     w2v.train(docs, cfg);
     benchmark::DoNotOptimize(w2v.vocabulary_size());
   }
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(text::word2vec_pairs() - pairs_before));
 }
-BENCHMARK(BM_Word2Vec);
+BENCHMARK(BM_Word2Vec)->Arg(40)->Arg(3400)->Unit(benchmark::kMillisecond);
 
 static void BM_PassAtK(benchmark::State& state) {
   for (auto _ : state) {

@@ -5,6 +5,7 @@
 // for each translation a single vector that captures the semantics of its
 // output logs."
 
+#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -23,7 +24,9 @@ struct Word2VecConfig {
 
 class Word2Vec {
  public:
-  /// Train on a corpus of documents (each a token sequence).
+  /// Train on a corpus of documents (each a token sequence). A config with
+  /// dim < 1 or a negative window, negatives or epochs leaves an empty,
+  /// untrained model (no vocabulary; every embedding is max(dim, 0) zeros).
   void train(const std::vector<std::vector<std::string>>& docs,
              const Word2VecConfig& config = {});
 
@@ -45,5 +48,11 @@ class Word2Vec {
   std::vector<double> out_;  // vocab x dim
   std::vector<int> unigram_; // negative-sampling table
 };
+
+/// Process-wide number of (centre, context) pairs train() has run, over
+/// all epochs, and how many of them had a repeated target and so took the
+/// one-target-at-a-time path (counters, for gates on the batched kernel).
+std::uint64_t word2vec_pairs();
+std::uint64_t word2vec_sequential_pairs();
 
 }  // namespace pareval::text

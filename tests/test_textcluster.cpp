@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
 #include <deque>
+#include <map>
 
 #include "cluster/dbscan.hpp"
+#include "eval/classify.hpp"
+#include "eval/harness.hpp"
 #include "support/rng.hpp"
 #include "text/tokens.hpp"
 #include "text/word2vec.hpp"
@@ -73,25 +78,27 @@ TEST(Word2Vec, DeterministicForFixedSeed) {
   EXPECT_EQ(w1.embed_word("a"), w2.embed_word("a"));
 }
 
-TEST(Word2Vec, EmbeddingsPinnedAtClassifierConfig) {
-  // classify_failures' configuration on a log-like corpus with repeated
-  // documents. Any reordering of the SGD arithmetic or of the RNG draws
-  // moves this hash.
-  const char* words[] = {
-      "error",  "undeclared", "identifier", "main.cpp",  "expected",
-      ";",      "makefile",   "missing",    "separator", "link",
-      "undefined", "reference", "to",       "omp",       "target",
-      "map",    "validation", "failed",     "output",    "mismatch",
-      "line",   "3",          "17",         "42",        "warning",
-      "kernel", "cuda",       "kokkos",     "parallel_for", "header"};
-  constexpr std::size_t kWords = sizeof(words) / sizeof(words[0]);
+namespace {
+
+const char* const kLogWords[] = {
+    "error",  "undeclared", "identifier", "main.cpp",  "expected",
+    ";",      "makefile",   "missing",    "separator", "link",
+    "undefined", "reference", "to",       "omp",       "target",
+    "map",    "validation", "failed",     "output",    "mismatch",
+    "line",   "3",          "17",         "42",        "warning",
+    "kernel", "cuda",       "kokkos",     "parallel_for", "header"};
+
+/// A log-like corpus: 48 documents of 4-17 words from kLogWords, every
+/// third followed by a repeat of an earlier one.
+std::vector<std::vector<std::string>> log_like_corpus() {
+  constexpr std::size_t kWords = std::size(kLogWords);
   pareval::support::Rng rng(11);
   std::vector<std::vector<std::string>> docs;
   for (int d = 0; d < 48; ++d) {
     std::vector<std::string> doc;
     const std::size_t len = 4 + rng.next_below(14);
     for (std::size_t i = 0; i < len; ++i) {
-      doc.push_back(words[rng.next_below(kWords)]);
+      doc.push_back(kLogWords[rng.next_below(kWords)]);
     }
     docs.push_back(std::move(doc));
     if (d % 3 == 0) {
@@ -99,13 +106,27 @@ TEST(Word2Vec, EmbeddingsPinnedAtClassifierConfig) {
       docs.push_back(std::move(repeat));
     }
   }
-  pt::Word2Vec w2v;
+  return docs;
+}
+
+pt::Word2VecConfig classifier_config() {
   pt::Word2VecConfig cfg;
   cfg.dim = 12;
   cfg.epochs = 6;
-  w2v.train(docs, cfg);
+  return cfg;
+}
+
+}  // namespace
+
+TEST(Word2Vec, EmbeddingsPinnedAtClassifierConfig) {
+  // classify_failures' configuration on a log-like corpus with repeated
+  // documents. Any reordering of the SGD arithmetic or of the RNG draws
+  // moves this hash.
+  const auto docs = log_like_corpus();
+  pt::Word2Vec w2v;
+  w2v.train(docs, classifier_config());
   std::vector<double> bits;
-  for (const char* w : words) {
+  for (const char* w : kLogWords) {
     for (const double x : w2v.embed_word(w)) bits.push_back(x);
   }
   for (const auto& doc : docs) {
@@ -115,6 +136,343 @@ TEST(Word2Vec, EmbeddingsPinnedAtClassifierConfig) {
       reinterpret_cast<const char*>(bits.data()),
       bits.size() * sizeof(double)));
   EXPECT_EQ(h, 0xd5eee71b397df5bfULL);
+}
+
+namespace {
+
+// The one-target-at-a-time skip-gram SGD loop Word2Vec::train ran before
+// its batched kernel, kept verbatim as the oracle: train() must reproduce
+// its embeddings bit for bit.
+struct OracleWord2Vec {
+  pt::Word2VecConfig config_;
+  std::map<std::string, int> vocab_;
+  std::vector<double> in_;
+  std::vector<double> out_;
+  std::vector<int> unigram_;
+
+  static double sigmoid(double x) {
+    if (x > 8) return 1.0;
+    if (x < -8) return 0.0;
+    return 1.0 / (1.0 + std::exp(-x));
+  }
+
+  void train(const std::vector<std::vector<std::string>>& docs,
+             const pt::Word2VecConfig& config) {
+    config_ = config;
+    vocab_.clear();
+
+    // Vocabulary with counts.
+    std::map<std::string, int> counts;
+    for (const auto& doc : docs) {
+      for (const auto& w : doc) counts[w]++;
+    }
+    for (const auto& [w, n] : counts) {
+      if (n >= config.min_count) {
+        vocab_.emplace(w, static_cast<int>(vocab_.size()));
+      }
+    }
+    const std::size_t v = vocab_.size();
+    const std::size_t d = static_cast<std::size_t>(config.dim);
+    pareval::support::Rng rng(config.seed);
+    in_.assign(v * d, 0.0);
+    out_.assign(v * d, 0.0);
+    for (auto& x : in_) x = (rng.next_double() - 0.5) / config.dim;
+
+    // Unigram^(3/4) table for negative sampling.
+    unigram_.clear();
+    for (const auto& [w, n] : counts) {
+      const auto it = vocab_.find(w);
+      if (it == vocab_.end()) continue;
+      const int reps = std::max(1, static_cast<int>(std::pow(n, 0.75)));
+      for (int r = 0; r < reps; ++r) unigram_.push_back(it->second);
+    }
+    if (unigram_.empty()) return;
+
+    // Index the corpus once.
+    std::vector<std::vector<int>> indexed;
+    for (const auto& doc : docs) {
+      std::vector<int> ids;
+      for (const auto& w : doc) {
+        const auto it = vocab_.find(w);
+        if (it != vocab_.end()) ids.push_back(it->second);
+      }
+      if (ids.size() > 1) indexed.push_back(std::move(ids));
+    }
+
+    std::vector<double> grad_buf(d);
+    double* const __restrict grad = grad_buf.data();
+    double* const in = in_.data();
+    double* const out = out_.data();
+    for (int epoch = 0; epoch < config.epochs; ++epoch) {
+      const double lr = config.lr * (1.0 - static_cast<double>(epoch) /
+                                               config.epochs) + 1e-4;
+      for (const auto& ids : indexed) {
+        for (std::size_t center = 0; center < ids.size(); ++center) {
+          const std::size_t lo =
+              center >= static_cast<std::size_t>(config.window)
+                  ? center - config.window
+                  : 0;
+          const std::size_t hi =
+              std::min(ids.size() - 1, center + config.window);
+          double* const __restrict word =
+              in + static_cast<std::size_t>(ids[center]) * d;
+          for (std::size_t ctx = lo; ctx <= hi; ++ctx) {
+            if (ctx == center) continue;
+            std::fill(grad, grad + d, 0.0);
+            // Positive + negative samples.
+            for (int n = 0; n <= config.negatives; ++n) {
+              std::size_t target;
+              double label;
+              if (n == 0) {
+                target = static_cast<std::size_t>(ids[ctx]);
+                label = 1.0;
+              } else {
+                target = static_cast<std::size_t>(
+                    unigram_[rng.next_below(unigram_.size())]);
+                if (target == static_cast<std::size_t>(ids[ctx])) continue;
+                label = 0.0;
+              }
+              double* const __restrict row = out + target * d;
+              double dot = 0.0;
+              for (std::size_t k = 0; k < d; ++k) dot += word[k] * row[k];
+              const double g = (sigmoid(dot) - label) * lr;
+              for (std::size_t k = 0; k < d; ++k) {
+                grad[k] += g * row[k];
+                row[k] -= g * word[k];
+              }
+            }
+            for (std::size_t k = 0; k < d; ++k) word[k] -= grad[k];
+          }
+        }
+      }
+    }
+  }
+
+  std::vector<double> embed_word(const std::string& word) const {
+    std::vector<double> out(static_cast<std::size_t>(config_.dim), 0.0);
+    const auto it = vocab_.find(word);
+    if (it == vocab_.end()) return out;
+    const std::size_t base =
+        static_cast<std::size_t>(it->second) * config_.dim;
+    for (int k = 0; k < config_.dim; ++k) out[k] = in_[base + k];
+    return out;
+  }
+
+  std::vector<double> embed_document(
+      const std::vector<std::string>& words) const {
+    std::vector<double> out(static_cast<std::size_t>(config_.dim), 0.0);
+    int hits = 0;
+    for (const auto& w : words) {
+      const auto it = vocab_.find(w);
+      if (it == vocab_.end()) continue;
+      const std::size_t base =
+          static_cast<std::size_t>(it->second) * config_.dim;
+      for (int k = 0; k < config_.dim; ++k) out[k] += in_[base + k];
+      ++hits;
+    }
+    if (hits > 0) {
+      for (auto& x : out) x /= hits;
+    }
+    return out;
+  }
+};
+
+std::vector<std::uint64_t> bit_patterns(const std::vector<double>& v) {
+  std::vector<std::uint64_t> out(v.size());
+  if (!v.empty()) std::memcpy(out.data(), v.data(), v.size() * sizeof(double));
+  return out;
+}
+
+/// Trains both models and compares, bit for bit, the embedding of every
+/// word the oracle kept and of every document. Returns the pairs train()
+/// sent down its one-target-at-a-time path.
+std::uint64_t expect_matches_oracle(
+    const std::vector<std::vector<std::string>>& docs,
+    const pt::Word2VecConfig& config, const std::string& what) {
+  OracleWord2Vec oracle;
+  oracle.train(docs, config);
+  pt::Word2Vec w2v;
+  const std::uint64_t sequential_before = pt::word2vec_sequential_pairs();
+  w2v.train(docs, config);
+  const std::uint64_t sequential =
+      pt::word2vec_sequential_pairs() - sequential_before;
+  EXPECT_EQ(w2v.vocabulary_size(), oracle.vocab_.size()) << what;
+  int mismatches = 0;
+  for (const auto& [word, id] : oracle.vocab_) {
+    if (bit_patterns(w2v.embed_word(word)) !=
+        bit_patterns(oracle.embed_word(word))) {
+      ADD_FAILURE() << what << ": embed_word(\"" << word << "\") differs";
+      if (++mismatches == 3) return sequential;
+    }
+  }
+  for (std::size_t i = 0; i < docs.size(); ++i) {
+    if (bit_patterns(w2v.embed_document(docs[i])) !=
+        bit_patterns(oracle.embed_document(docs[i]))) {
+      ADD_FAILURE() << what << ": embed_document(docs[" << i << "]) differs";
+      if (++mismatches == 3) return sequential;
+    }
+  }
+  return sequential;
+}
+
+}  // namespace
+
+TEST(Word2VecDifferential, ClassifierShapedCorpusMatchesOracle) {
+  const auto docs = log_like_corpus();
+  const std::uint64_t pairs_before = pt::word2vec_pairs();
+  const std::uint64_t sequential =
+      expect_matches_oracle(docs, classifier_config(), "pinned corpus");
+  const std::uint64_t pairs = pt::word2vec_pairs() - pairs_before;
+  // Both kernel paths run: most pairs batch, a few repeat a target.
+  EXPECT_GT(sequential, 0u);
+  EXPECT_LT(sequential, pairs / 2);
+}
+
+TEST(Word2VecDifferential, RepeatedTargetsMatchOracle) {
+  // Three words and four negatives: nearly every pair draws some negative
+  // twice, so the one-target-at-a-time path does most of the training.
+  pareval::support::Rng rng(5);
+  const char* const words[] = {"a", "b", "c"};
+  std::vector<std::vector<std::string>> docs;
+  for (int i = 0; i < 30; ++i) {
+    std::vector<std::string> doc;
+    for (std::size_t n = 3 + rng.next_below(6); n > 0; --n) {
+      doc.push_back(words[rng.next_below(3)]);
+    }
+    docs.push_back(std::move(doc));
+  }
+  const std::uint64_t pairs_before = pt::word2vec_pairs();
+  const std::uint64_t sequential =
+      expect_matches_oracle(docs, classifier_config(), "3-word corpus");
+  EXPECT_GT(sequential, (pt::word2vec_pairs() - pairs_before) / 2);
+}
+
+TEST(Word2VecDifferential, RealSweepFailureLogsMatchOracle) {
+  // classify_failures' own corpus: the failure logs of the paper spec at
+  // N=2, tokenised as the classifier tokenises them.
+  pareval::eval::SweepSpec spec = pareval::eval::SweepSpec::paper();
+  spec.samples_per_task = 2;
+  pareval::eval::HarnessConfig config;
+  config.use_score_cache = false;
+  const auto tasks =
+      pareval::eval::run_sweep(pareval::eval::Suite::paper(), spec, config);
+  const auto classified = pareval::eval::classify_failures(tasks);
+  ASSERT_GT(classified.logs.size(), 50u);
+  std::vector<std::vector<std::string>> docs;
+  for (const auto& cl : classified.logs) {
+    docs.push_back(pt::word_tokens(cl.log));
+  }
+  expect_matches_oracle(docs, classifier_config(), "paper spec N=2");
+}
+
+TEST(Word2VecDifferential, EdgeShapesMatchOracle) {
+  const auto base = log_like_corpus();
+  // Documents of length 0, 1 and 2 mixed into the corpus.
+  auto short_docs = base;
+  short_docs.insert(short_docs.begin() + 3, std::vector<std::string>{});
+  short_docs.insert(short_docs.begin() + 7,
+                    std::vector<std::string>{"error"});
+  short_docs.insert(short_docs.begin() + 11,
+                    std::vector<std::string>{"link", "error"});
+  short_docs.push_back({"kernel"});
+  short_docs.push_back({});
+  expect_matches_oracle(short_docs, classifier_config(), "short documents");
+  expect_matches_oracle({{}, {"x"}, {"x", "y"}}, classifier_config(),
+                        "only short documents");
+
+  struct Case {
+    const char* what;
+    void (*tweak)(pt::Word2VecConfig&);
+  };
+  const Case cases[] = {
+      {"window 17 (>= every document)", [](auto& c) { c.window = 17; }},
+      {"window 0", [](auto& c) { c.window = 0; }},
+      {"window 1", [](auto& c) { c.window = 1; }},
+      {"negatives 0", [](auto& c) { c.negatives = 0; }},
+      {"negatives 1", [](auto& c) { c.negatives = 1; }},
+      {"negatives 9", [](auto& c) { c.negatives = 9; }},
+      {"dim 1", [](auto& c) { c.dim = 1; }},
+      {"dim 13", [](auto& c) { c.dim = 13; }},
+      {"epochs 0", [](auto& c) { c.epochs = 0; }},
+      {"epochs 1", [](auto& c) { c.epochs = 1; }},
+      {"min_count 2", [](auto& c) { c.min_count = 2; }},
+      {"default config", [](auto& c) { c = pt::Word2VecConfig{}; }},
+  };
+  for (const Case& c : cases) {
+    pt::Word2VecConfig cfg = classifier_config();
+    c.tweak(cfg);
+    expect_matches_oracle(base, cfg, c.what);
+    expect_matches_oracle(short_docs, cfg,
+                          std::string(c.what) + ", short documents");
+  }
+
+  // With min_count 2 the once-seen words leave the index, so pairs form
+  // over the surviving words only.
+  pt::Word2VecConfig cfg = classifier_config();
+  cfg.min_count = 2;
+  expect_matches_oracle({{"a", "rare1", "b", "rare2", "c"},
+                         {"a", "b", "rare3"},
+                         {"c", "a", "b", "c"},
+                         {"rare4", "a"}},
+                        cfg, "min_count 2, rare words");
+}
+
+namespace {
+
+/// A config field out of range leaves an empty, untrained model: no
+/// vocabulary, all-zero embeddings of length max(dim, 0), nothing thrown.
+void expect_empty_model(const pt::Word2VecConfig& cfg) {
+  const std::vector<std::vector<std::string>> docs = {
+      {"a", "b", "c", "a"}, {"b", "c", "d"}};
+  pt::Word2Vec w2v;
+  const std::uint64_t pairs_before = pt::word2vec_pairs();
+  ASSERT_NO_THROW(w2v.train(docs, cfg));
+  EXPECT_EQ(pt::word2vec_pairs(), pairs_before);
+  EXPECT_EQ(w2v.vocabulary_size(), 0u);
+  const std::vector<double> zeros(
+      static_cast<std::size_t>(std::max(cfg.dim, 0)), 0.0);
+  EXPECT_EQ(w2v.embed_word("a"), zeros);
+  EXPECT_EQ(w2v.embed_document(docs[0]), zeros);
+  EXPECT_EQ(w2v.cosine("a", "b"), 0.0);
+}
+
+}  // namespace
+
+TEST(Word2VecInvalidConfig, DimBelowOneLeavesEmptyModel) {
+  for (const int dim : {0, -1, -12}) {
+    pt::Word2VecConfig cfg;
+    cfg.dim = dim;
+    expect_empty_model(cfg);
+  }
+}
+
+TEST(Word2VecInvalidConfig, NegativeWindowLeavesEmptyModel) {
+  pt::Word2VecConfig cfg;
+  cfg.window = -1;
+  expect_empty_model(cfg);
+}
+
+TEST(Word2VecInvalidConfig, NegativeNegativesLeavesEmptyModel) {
+  pt::Word2VecConfig cfg;
+  cfg.negatives = -1;
+  expect_empty_model(cfg);
+}
+
+TEST(Word2VecInvalidConfig, NegativeEpochsLeavesEmptyModel) {
+  pt::Word2VecConfig cfg;
+  cfg.epochs = -1;
+  expect_empty_model(cfg);
+}
+
+TEST(Word2VecInvalidConfig, RetrainWithInvalidConfigForgetsOldModel) {
+  pt::Word2Vec w2v;
+  w2v.train({{"a", "b", "c"}});
+  ASSERT_EQ(w2v.vocabulary_size(), 3u);
+  pt::Word2VecConfig cfg;
+  cfg.window = -2;
+  w2v.train({{"a", "b", "c"}}, cfg);
+  EXPECT_EQ(w2v.vocabulary_size(), 0u);
+  EXPECT_EQ(w2v.embed_word("a"), std::vector<double>(16, 0.0));
 }
 
 namespace {
