@@ -23,6 +23,7 @@
 #include "minic/bytecode.hpp"
 #include "minic/objcodec.hpp"
 #include "minic/runio.hpp"
+#include "minic/sym.hpp"
 #include "support/par.hpp"
 #include "support/rng.hpp"
 #include "text/word2vec.hpp"
@@ -412,10 +413,10 @@ int run_sweep_timing_section() {
 // ---- Execute-stage engine timing -----------------------------------------
 // Interpreter vs bytecode VM over the hottest shipped (app, model)
 // implementations — ranked by interpreter step count, so the comparison is
-// dominated by real Execute work, not startup. Emits BENCH_vm.json; the CI
-// bench job gates `execute_total.speedup > 1` (the VM must actually beat
-// the tree-walking interpreter) and `context.identical` (outputs must stay
-// bit-identical while doing so).
+// dominated by real Execute work, not startup. Emits BENCH_vm.json with
+// per-target ns per fuel step for both engines; the CI bench job gates the
+// VM's speedups, `context.identical` (outputs must stay bit-identical) and
+// `context.interned_during_runs == 0` (names resolve at sema time only).
 
 double time_execute_ms(const buildsim::BuildResult& build,
                        const apps::AppSpec& app, minic::EngineKind engine) {
@@ -474,6 +475,9 @@ int run_vm_timing_section() {
               targets.size(), kReps);
   double interp_total = 0, vm_total = 0;
   std::uint64_t fallback_total = 0;
+  // Every target is built: names are interned, and running must intern
+  // none (CI gates this delta at 0).
+  const std::size_t interned_before = minic::interned_symbols();
   for (Target& t : targets) {
     const std::uint64_t fb_before =
         execsim::driver_counters().tree_fallbacks;
@@ -493,29 +497,37 @@ int run_vm_timing_section() {
                 static_cast<unsigned long long>(t.steps),
                 static_cast<unsigned long long>(t.tree_fallbacks));
   }
+  const std::size_t interned_during_runs =
+      minic::interned_symbols() - interned_before;
   const double speedup = vm_total > 0 ? interp_total / vm_total : 0.0;
   std::printf("total                                 interp %8.1f ms   vm "
               "%8.1f ms   (speedup %.2fx)\n"
-              "determinism (interp vs vm, full corpus): %s\n",
+              "determinism (interp vs vm, full corpus): %s\n"
+              "symbols interned while running: %zu\n",
               interp_total, vm_total, speedup,
-              identical ? "IDENTICAL" : "MISMATCH");
+              identical ? "IDENTICAL" : "MISMATCH", interned_during_runs);
 
   FILE* json = std::fopen("BENCH_vm.json", "w");
   if (json != nullptr) {
     std::fprintf(json,
                  "{\n"
-                 "  \"context\": {\"repetitions\": %d, \"identical\": %s},\n"
+                 "  \"context\": {\"repetitions\": %d, \"identical\": %s, "
+                 "\"interned_during_runs\": %zu},\n"
                  "  \"benchmarks\": [\n",
-                 kReps, identical ? "true" : "false");
+                 kReps, identical ? "true" : "false", interned_during_runs);
     for (const Target& t : targets) {
+      const double rep_steps = static_cast<double>(t.steps) * kReps;
       std::fprintf(json,
                    "    {\"name\": \"execute_%s_%s\", \"interp_ms\": %.3f, "
                    "\"vm_ms\": %.3f, \"speedup\": %.3f, \"steps\": %llu, "
+                   "\"interp_ns_per_step\": %.1f, \"vm_ns_per_step\": %.1f, "
                    "\"tree_fallbacks\": %llu, \"time_unit\": \"ms\"},\n",
                    t.app->name.c_str(), apps::model_key(t.model),
                    t.interp_ms, t.vm_ms,
                    t.vm_ms > 0 ? t.interp_ms / t.vm_ms : 0.0,
                    static_cast<unsigned long long>(t.steps),
+                   rep_steps > 0 ? t.interp_ms * 1e6 / rep_steps : 0.0,
+                   rep_steps > 0 ? t.vm_ms * 1e6 / rep_steps : 0.0,
                    static_cast<unsigned long long>(t.tree_fallbacks));
     }
     std::fprintf(json,

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "minic/omp.hpp"
+#include "minic/sym.hpp"
 
 namespace pareval::minic {
 
@@ -90,6 +91,20 @@ int type_size(const Type& t);
 
 // ---------------------------------------------------------- expressions --
 
+/// Binary operators, decoded once from their spelling (sema stamps
+/// Expr::binop) so neither engine compares operator strings per
+/// evaluation. Machine::apply_binop / compound_combine are the one
+/// implementation of MiniC arithmetic for both engines.
+enum class BinOp {
+  Add, Sub, Mul, Div, Mod,
+  Shl, Shr, BAnd, BOr, BXor,
+  Eq, Ne, Lt, Gt, Le, Ge,
+};
+
+/// nullopt for `&&`, `||` and spellings that are not operators.
+std::optional<BinOp> binop_from_text(const std::string& op);
+const char* binop_text(BinOp op);
+
 enum class ExprKind {
   IntLit,
   FloatLit,
@@ -122,6 +137,9 @@ struct Expr {
   bool arrow = false;        // Member: true for '->'
   bool postfix = false;      // Unary ++/--: postfix form
   int line = 0;
+  // Set by sema (minic/sema.hpp intern_symbols), never by the parser.
+  Sym sym = kNoSym;             // Ident / Call: `text` interned
+  std::optional<BinOp> binop;   // Binary, compound Assign: decoded op
 
   // CUDA kernel launch configuration (Call only): kernel<<<grid, block>>>().
   std::unique_ptr<Expr> launch_grid;
@@ -132,6 +150,7 @@ struct Expr {
     Type type;
     std::string name;
     bool by_ref = false;  // `double& sum` in parallel_reduce functors
+    Sym sym = kNoSym;     // `name` interned by sema
   };
   std::vector<Param> lambda_params;
   std::unique_ptr<Stmt> lambda_body;
@@ -162,6 +181,7 @@ struct VarDecl {
   std::vector<ExprPtr> ctor_args;     // dim3 grid(a, b); View v("x", n);
   ExprPtr array_size;                 // T a[N]; null if not an array
   int line = 0;
+  Sym sym = kNoSym;                   // `name` interned by sema
 };
 
 struct Stmt {
@@ -202,6 +222,7 @@ struct ParamDecl {
   Type type;
   std::string name;
   bool by_ref = false;
+  Sym sym = kNoSym;  // `name` interned by sema
 };
 
 struct FunctionDecl {

@@ -50,10 +50,11 @@ struct Compiler {
     ch.consts.push_back(std::move(v));
     return static_cast<int>(ch.consts.size() - 1);
   }
-  int add_name(const std::string& n) {
-    for (std::size_t i = 0; i < ch.names.size(); ++i) {
-      if (ch.names[i] == n) return static_cast<int>(i);
+  int add_name(const std::string& n, Sym sym) {
+    for (std::size_t i = 0; i < ch.syms.size(); ++i) {
+      if (ch.syms[i] == sym) return static_cast<int>(i);
     }
+    ch.syms.push_back(sym);
     ch.names.push_back(n);
     return static_cast<int>(ch.names.size() - 1);
   }
@@ -170,7 +171,7 @@ struct Compiler {
     if (e.kind == ExprKind::Ident) {
       Instr in;
       in.op = Op::CheckVar;
-      in.imm = add_name(e.text);
+      in.imm = add_name(e.text, e.sym);
       in.line = e.line;
       emit(std::move(in));
       return;
@@ -226,7 +227,7 @@ struct Compiler {
         Instr in;
         in.op = Op::LoadVar;
         in.a = static_cast<unsigned short>(dst);
-        in.imm = add_name(e.text);
+        in.imm = add_name(e.text, e.sym);
         in.line = e.line;
         emit(std::move(in));
         return;
@@ -374,7 +375,7 @@ struct Compiler {
         Instr in;
         in.op = Op::AddrVar;
         in.a = static_cast<unsigned short>(dst);
-        in.imm = add_name(e.kids[0]->text);
+        in.imm = add_name(e.kids[0]->text, e.kids[0]->sym);
         in.line = e.line;
         emit(std::move(in));
         return;
@@ -428,8 +429,7 @@ struct Compiler {
       emit(std::move(in));
       return;
     }
-    const auto bop = binop_from_text(op);
-    if (!bop) {
+    if (!e.binop) {
       tree_eval(e, dst);  // unknown operator: eval traps with exact message
       return;
     }
@@ -443,7 +443,7 @@ struct Compiler {
     in.a = static_cast<unsigned short>(dst);
     in.b = static_cast<unsigned short>(dst);
     in.c = static_cast<unsigned short>(r2);
-    in.binop = static_cast<signed char>(*bop);
+    in.binop = static_cast<signed char>(*e.binop);
     in.line = e.line;
     emit(std::move(in));
     rtop = save;
@@ -459,12 +459,11 @@ struct Compiler {
     }
     signed char bop = -1;
     if (e.text != "=") {
-      const auto b = binop_from_text(e.text.substr(0, e.text.size() - 1));
-      if (!b) {
+      if (!e.binop) {
         tree_eval(e, dst);  // unknown compound-assign operator: eval traps
         return;
       }
-      bop = static_cast<signed char>(*b);
+      bop = static_cast<signed char>(*e.binop);
     }
     charge(e.line);
     compile_lvalue(target);  // lvalue FIRST: its traps fire before the rhs
@@ -530,7 +529,7 @@ struct Compiler {
           Instr ra;
           ra.op = Op::RefArg;
           ra.a = static_cast<unsigned short>(r);
-          ra.imm = add_name(e.kids[i]->text);
+          ra.imm = add_name(e.kids[i]->text, e.kids[i]->sym);
           ra.line = e.kids[i]->line;
           emit(std::move(ra));
           fixups.push_back({ch.code.size() - 1, l_skip, true});
@@ -645,7 +644,7 @@ struct Compiler {
           } else {
             Instr in;
             in.op = Op::DeclVar;
-            in.imm = add_name(v.name);
+            in.imm = add_name(v.name, v.sym);
             in.imm2 = add_type(v.type);
             in.line = v.line;
             if (v.init) {
@@ -1086,6 +1085,7 @@ bool decode_chunk_body(BinReader& r, const NodeTable& nodes,
   const std::uint32_t nnames = r.u32();
   for (std::uint32_t i = 0; r.ok() && i < nnames; ++i) {
     out->names.push_back(r.str());
+    out->syms.push_back(intern(out->names.back()));
   }
   const std::uint32_t ntypes = r.u32();
   for (std::uint32_t i = 0; r.ok() && i < ntypes; ++i) {

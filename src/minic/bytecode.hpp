@@ -35,10 +35,10 @@ class NodeTable;
 enum class Op : unsigned char {
   Step,        // burn fuel only (fused charges at a jump target)
   LoadConst,   // r[a] = consts[imm]
-  LoadVar,     // r[a] = ident_value(names[imm])
+  LoadVar,     // r[a] = ident_value(syms[imm])
   Move,        // r[a] = r[b]
   Member,      // r[a] = member `names[imm]` of expr node (fast dim3/struct)
-  CheckVar,    // lv_stack.push(lvalue_ident(names[imm]))
+  CheckVar,    // lv_stack.push(lvalue_ident(syms[imm]))
   CheckDeref,  // lv_stack.push(lvalue for *r[a] / r[a][r[b]])
   LvTree,      // lv_stack.push(resolve_lvalue(node)) — member / view-call
                // targets; resolve_lvalue charges its own fuel at runtime
@@ -47,7 +47,7 @@ enum class Op : unsigned char {
   IncDecLv,    // r[a] = incdec_apply(lv_stack.pop(), ±1, postfix)
   LoadLv,      // r[a] = lv_load(lv_stack.pop())  (index/member reads)
   Deref,       // r[a] = load_deref(r[b])
-  AddrVar,     // r[a] = Ref to variable names[imm]
+  AddrVar,     // r[a] = Ref to variable syms[imm]
   AddrLv,      // r[a] = &lvalue (pop; Cell -> Ptr, else trap)
   Neg,         // r[a] = -r[b]
   Not,         // r[a] = !r[b]
@@ -61,14 +61,14 @@ enum class Op : unsigned char {
   PopJump,     // pop b scopes, ip = imm      (break/continue)
   PushScope,   // push a block scope
   PopScope,    // pop it
-  DeclVar,     // declare names[imm] : types[imm2], init from r[a] if b
+  DeclVar,     // declare syms[imm] : types[imm2], init from r[a] if flag
   DeclArr,     // declare_array(node VarDecl, r[a] elements) — no-init arrays
   DeclStruct,  // declare_struct(node VarDecl, r[a] if flag) — struct /
                // struct-pointer decls whose init is not a brace list
   CallGuard,   // if try_call_var(node) { r[a] = result; ip = imm; }
   CallFn,      // r[a] = call_function(fn, r[b..b+c-1])
   Builtin,     // r[a] = builtin(node, r[b..b+c-1])  (flags: PtrOut refs)
-  RefArg,      // r[a] = Ref to names[imm] if declared, else ip = imm2
+  RefArg,      // r[a] = Ref to syms[imm] if declared, else ip = imm2
   TreeEval,    // r[a] = machine.eval(node)   (fallback; node charges fuel)
   TreeStmt,    // machine.exec(node); Break/Continue -> PopJump semantics
   Lambda,      // r[a] = eval_lambda(node)    (closure capture, no body run)
@@ -108,6 +108,10 @@ struct Chunk {
   const Stmt* lambda_body = nullptr;
   std::vector<Instr> code;
   std::vector<Value> consts;
+  /// Variable operands: `syms[i]` is what the instruction looks up;
+  /// `names[i]`, its spelling, is only for diagnostics. Only names are
+  /// persisted; decode re-interns them.
+  std::vector<Sym> syms;
   std::vector<std::string> names;
   std::vector<Type> types;
   /// Compiled OMP structured-region bodies, indexed by OmpExec's `a`.

@@ -12,6 +12,8 @@ ExprPtr clone_expr(const Expr& e) {
   out->arrow = e.arrow;
   out->postfix = e.postfix;
   out->line = e.line;
+  out->sym = e.sym;
+  out->binop = e.binop;
   for (const auto& k : e.kids) out->kids.push_back(clone_expr(*k));
   if (e.launch_grid) out->launch_grid = clone_expr(*e.launch_grid);
   if (e.launch_block) out->launch_block = clone_expr(*e.launch_block);
@@ -25,6 +27,7 @@ VarDecl clone_var_decl(const VarDecl& v) {
   out.type = v.type;
   out.name = v.name;
   out.line = v.line;
+  out.sym = v.sym;
   if (v.init) out.init = clone_expr(*v.init);
   if (v.array_size) out.array_size = clone_expr(*v.array_size);
   for (const auto& a : v.ctor_args) out.ctor_args.push_back(clone_expr(*a));

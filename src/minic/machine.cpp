@@ -19,48 +19,6 @@ double garbage_real(std::uint64_t salt) {
 
 }  // namespace
 
-std::optional<BinOp> binop_from_text(const std::string& op) {
-  if (op == "+") return BinOp::Add;
-  if (op == "-") return BinOp::Sub;
-  if (op == "*") return BinOp::Mul;
-  if (op == "/") return BinOp::Div;
-  if (op == "%") return BinOp::Mod;
-  if (op == "<<") return BinOp::Shl;
-  if (op == ">>") return BinOp::Shr;
-  if (op == "&") return BinOp::BAnd;
-  if (op == "|") return BinOp::BOr;
-  if (op == "^") return BinOp::BXor;
-  if (op == "==") return BinOp::Eq;
-  if (op == "!=") return BinOp::Ne;
-  if (op == "<") return BinOp::Lt;
-  if (op == ">") return BinOp::Gt;
-  if (op == "<=") return BinOp::Le;
-  if (op == ">=") return BinOp::Ge;
-  return std::nullopt;
-}
-
-const char* binop_text(BinOp op) {
-  switch (op) {
-    case BinOp::Add: return "+";
-    case BinOp::Sub: return "-";
-    case BinOp::Mul: return "*";
-    case BinOp::Div: return "/";
-    case BinOp::Mod: return "%";
-    case BinOp::Shl: return "<<";
-    case BinOp::Shr: return ">>";
-    case BinOp::BAnd: return "&";
-    case BinOp::BOr: return "|";
-    case BinOp::BXor: return "^";
-    case BinOp::Eq: return "==";
-    case BinOp::Ne: return "!=";
-    case BinOp::Lt: return "<";
-    case BinOp::Gt: return ">";
-    case BinOp::Le: return "<=";
-    case BinOp::Ge: return ">=";
-  }
-  return "?";
-}
-
 Machine::Machine(const LinkedProgram& p, const BuiltinTable& b, RunLimits l)
     : prog(p), builtins(b), limits(l) {
   memory.reserve(64);
@@ -85,10 +43,12 @@ int Machine::do_alloc(MemSpace space, long long cells, int elem_size,
     trap(DiagCategory::RuntimeFault,
          "allocation with negative size at " + origin, line);
   }
-  total_cells += cells;
-  if (total_cells > limits.max_cells) {
+  // Compare before adding: the request is program-controlled, so the sum
+  // could overflow.
+  if (cells > limits.max_cells - total_cells) {
     trap(DiagCategory::RuntimeFault, "out of memory (simulated)", line);
   }
+  total_cells += cells;
   MemBlock b;
   b.space = space;
   b.elem_size = elem_size;
@@ -231,25 +191,49 @@ Value Machine::coerce_to_type(Value v, const Type& t) {
 }
 
 // -------------------------------------------------------------- env --
+void Machine::push_frame() {
+  frames.push_back(FrameMark{scopes.size(), bindings.size()});
+  frame_base = bindings.size();
+  push_scope();
+}
+
+void Machine::pop_frame() {
+  const FrameMark f = frames.back();
+  frames.pop_back();
+  bindings.resize(f.binding_base);
+  scopes.resize(f.scope_base);
+  frame_base = frames.empty() ? 0 : frames.back().binding_base;
+}
+
 void Machine::push_scope() {
-  frames.back().scopes.push_back(Scope{next_scope_id++, {}});
-}
-void Machine::pop_scope() { frames.back().scopes.pop_back(); }
-
-VarSlot* Machine::declare(const std::string& name, VarSlot slot) {
-  auto& vars = frames.back().scopes.back().vars;
-  return &(vars[name] = std::move(slot));
+  scopes.push_back(ScopeMark{next_scope_id++, bindings.size()});
 }
 
-Machine::Found Machine::find_var(const std::string& name) {
-  auto& scopes = frames.back().scopes;
-  for (auto it = scopes.rbegin(); it != scopes.rend(); ++it) {
-    const auto hit = it->vars.find(name);
-    if (hit != it->vars.end()) return {&hit->second, it->id};
+void Machine::pop_scope() {
+  bindings.resize(scopes.back().base);
+  scopes.pop_back();
+}
+
+VarSlot* Machine::declare(Sym sym, VarSlot slot) {
+  for (std::size_t i = scopes.back().base; i < bindings.size(); ++i) {
+    if (bindings[i].sym == sym) {
+      *bindings[i].slot = std::move(slot);
+      return bindings[i].slot;
+    }
   }
-  const auto g = globals.find(name);
-  if (g != globals.end()) return {&g->second, -1};
-  return {};
+  return bind(sym, std::move(slot));
+}
+
+VarSlot* Machine::bind(Sym sym, VarSlot slot) {
+  const std::size_t i = bindings.size();
+  if (i == slots.size()) {
+    slots.push_back(std::move(slot));
+  } else {
+    slots[i] = std::move(slot);
+  }
+  VarSlot* const out = &slots[i];
+  bindings.push_back(Binding{sym, scopes.back().id, out});
+  return out;
 }
 
 /// Should a device-context access to this slot go through the region's
@@ -283,8 +267,9 @@ void Machine::write_var(const Found& f, Value v) {
 }
 
 // ----------------------------------------------------------- lvalues --
-Machine::LValue Machine::lvalue_ident(const std::string& name, int line) {
-  Found f = find_var(name);
+Machine::LValue Machine::lvalue_ident(Sym sym, const std::string& name,
+                                      int line) {
+  const Found f = find_var(sym);
   if (!f.slot) {
     trap(DiagCategory::UndeclaredIdentifier,
          "use of undeclared identifier '" + name + "'", line);
@@ -299,7 +284,7 @@ Machine::LValue Machine::resolve_lvalue(const Expr& e) {
   step(e.line);
   switch (e.kind) {
     case ExprKind::Ident:
-      return lvalue_ident(e.text, e.line);
+      return lvalue_ident(e.sym, e.text, e.line);
     case ExprKind::Unary: {
       if (e.text != "*") break;
       const Value p = eval(*e.kids[0]);
@@ -335,7 +320,7 @@ Machine::LValue Machine::resolve_lvalue(const Expr& e) {
     case ExprKind::Member: {
       // dim3 member?
       if (e.kids[0]->kind == ExprKind::Ident) {
-        Found f = find_var(e.kids[0]->text);
+        const Found f = find_var(e.kids[0]->sym);
         if (f.slot && f.slot->v.kind == Value::Kind::Dim3V && !e.arrow) {
           LValue lv;
           lv.kind = LValue::Kind::Dim3Member;
@@ -380,7 +365,7 @@ Machine::LValue Machine::resolve_lvalue(const Expr& e) {
     }
     case ExprKind::Call: {
       // Kokkos view element as lvalue: v(i, j) = x.
-      Found f = find_var(e.text);
+      const Found f = find_var(e.sym);
       if (f.slot && f.slot->v.kind == Value::Kind::ViewV) {
         LValue lv;
         lv.kind = LValue::Kind::Cell;
@@ -545,7 +530,7 @@ Value Machine::eval(const Expr& e) {
 Value Machine::eval_member_body(const Expr& e) {
   // Fast path for members of non-variable bases (blockIdx.x, ...).
   if (!e.arrow && e.kids[0]->kind == ExprKind::Ident &&
-      find_var(e.kids[0]->text).slot == nullptr) {
+      find_var(e.kids[0]->sym).slot == nullptr) {
     const Value base = eval(*e.kids[0]);
     if (base.kind == Value::Kind::Dim3V) {
       const char axis = e.text.empty() ? 'x' : e.text[0];
@@ -567,42 +552,50 @@ Value Machine::eval_member_body(const Expr& e) {
 }
 
 Value Machine::eval_ident(const Expr& e) {
-  return ident_value(e.text, e.line);
+  return ident_value(e.sym, e.text, e.line);
 }
 
-Value Machine::ident_value(const std::string& name, int line) {
+namespace {
+
+/// The runtime constants, by reserved symbol (minic/sym.hpp).
+const Value& constant_value(Sym sym) {
+  static const std::vector<Value> kConsts = [] {
+    std::vector<Value> c(kNumReservedSyms);
+    c[kSymCudaMemcpyHostToHost] = Value::make_int(0);
+    c[kSymCudaMemcpyHostToDevice] = Value::make_int(1);
+    c[kSymCudaMemcpyDeviceToHost] = Value::make_int(2);
+    c[kSymCudaMemcpyDeviceToDevice] = Value::make_int(3);
+    c[kSymCudaSuccess] = Value::make_int(0);
+    c[kSymRandMax] = Value::make_int(2147483647LL);
+    c[kSymIntMax] = Value::make_int(2147483647LL);
+    c[kSymDblMax] = Value::make_real(1.7976931348623157e308);
+    c[kSymFltMax] = Value::make_real(3.4028234663852886e38);
+    c[kSymMPi] = Value::make_real(3.14159265358979323846);
+    c[kSymStderr] = Value::make_int(2);
+    c[kSymStdout] = Value::make_int(1);
+    c[kSymExitSuccess] = Value::make_int(0);
+    c[kSymExitFailure] = Value::make_int(1);
+    c[kSymNull] = Value::make_ptr(MemRef{});
+    return c;
+  }();
+  return kConsts[sym];
+}
+
+}  // namespace
+
+Value Machine::ident_value(Sym sym, const std::string& name, int line) {
   // CUDA thread coordinates.
-  if (name == "threadIdx" || name == "blockIdx" ||
-      name == "blockDim" || name == "gridDim") {
+  if (is_coordinate_sym(sym)) {
     Value out;
     out.kind = Value::Kind::Dim3V;
     const ExecEnv& ee = exec_envs.back();
-    out.dim3v = name == "threadIdx"  ? ee.threadIdx
-                : name == "blockIdx" ? ee.blockIdx
-                : name == "blockDim" ? ee.blockDim
-                                     : ee.gridDim;
+    out.dim3v = sym == kSymThreadIdx  ? ee.threadIdx
+                : sym == kSymBlockIdx ? ee.blockIdx
+                : sym == kSymBlockDim ? ee.blockDim
+                                      : ee.gridDim;
     return out;
   }
-  static const std::map<std::string, Value> kConsts = [] {
-    std::map<std::string, Value> m;
-    m["cudaMemcpyHostToHost"] = Value::make_int(0);
-    m["cudaMemcpyHostToDevice"] = Value::make_int(1);
-    m["cudaMemcpyDeviceToHost"] = Value::make_int(2);
-    m["cudaMemcpyDeviceToDevice"] = Value::make_int(3);
-    m["cudaSuccess"] = Value::make_int(0);
-    m["RAND_MAX"] = Value::make_int(2147483647LL);
-    m["INT_MAX"] = Value::make_int(2147483647LL);
-    m["DBL_MAX"] = Value::make_real(1.7976931348623157e308);
-    m["FLT_MAX"] = Value::make_real(3.4028234663852886e38);
-    m["M_PI"] = Value::make_real(3.14159265358979323846);
-    m["stderr"] = Value::make_int(2);
-    m["stdout"] = Value::make_int(1);
-    m["EXIT_SUCCESS"] = Value::make_int(0);
-    m["EXIT_FAILURE"] = Value::make_int(1);
-    m["NULL"] = Value::make_ptr(MemRef{});
-    return m;
-  }();
-  const Found f = find_var(name);
+  const Found f = find_var(sym);
   if (f.slot) {
     Value v = read_var(f);
     if (v.kind == Value::Kind::Unset) {
@@ -611,8 +604,7 @@ Value Machine::ident_value(const std::string& name, int line) {
     }
     return v;
   }
-  const auto c = kConsts.find(name);
-  if (c != kConsts.end()) return c->second;
+  if (is_constant_sym(sym)) return constant_value(sym);
   trap(DiagCategory::UndeclaredIdentifier,
        "use of undeclared identifier '" + name + "'", line);
 }
@@ -661,7 +653,7 @@ Value Machine::eval_unary(const Expr& e) {
   if (op == "&") {
     // &var -> transient reference for out-parameters; &arr[i] -> pointer.
     if (e.kids[0]->kind == ExprKind::Ident) {
-      Found f = find_var(e.kids[0]->text);
+      const Found f = find_var(e.kids[0]->sym);
       if (!f.slot) {
         trap(DiagCategory::UndeclaredIdentifier,
              "use of undeclared identifier '" + e.kids[0]->text + "'",
@@ -691,6 +683,13 @@ Value Machine::eval_unary(const Expr& e) {
 }
 
 Value Machine::eval_binary(const Expr& e) {
+  if (e.binop) {
+    const Value a = eval(*e.kids[0]);
+    const Value b = eval(*e.kids[1]);
+    Value out;
+    apply_binop(out, *e.binop, a, b, e.line);
+    return out;
+  }
   const std::string& op = e.text;
   if (op == "&&") {
     return Value::make_int(
@@ -700,29 +699,27 @@ Value Machine::eval_binary(const Expr& e) {
     return Value::make_int(
         eval(*e.kids[0]).truthy() || eval(*e.kids[1]).truthy() ? 1 : 0);
   }
+  // Not an operator MiniC evaluates: still evaluate both operands first.
   const Value a = eval(*e.kids[0]);
   const Value b = eval(*e.kids[1]);
-  const auto bop = binop_from_text(op);
-  if (!bop) {
-    if (a.kind == Value::Kind::Ptr || b.kind == Value::Kind::Ptr) {
-      trap(DiagCategory::RuntimeFault,
-           "invalid pointer operands to binary '" + op + "'", e.line);
-    }
-    if (a.kind == Value::Kind::Real || b.kind == Value::Kind::Real) {
-      trap(DiagCategory::RuntimeFault,
-           "invalid operands of type double to binary '" + op + "'", e.line);
-    }
-    trap(DiagCategory::RuntimeFault, "unsupported binary operator " + op,
-         e.line);
+  if (a.kind == Value::Kind::Ptr || b.kind == Value::Kind::Ptr) {
+    trap(DiagCategory::RuntimeFault,
+         "invalid pointer operands to binary '" + op + "'", e.line);
   }
-  return apply_binop(*bop, a, b, e.line);
+  if (a.kind == Value::Kind::Real || b.kind == Value::Kind::Real) {
+    trap(DiagCategory::RuntimeFault,
+         "invalid operands of type double to binary '" + op + "'", e.line);
+  }
+  trap(DiagCategory::RuntimeFault, "unsupported binary operator " + op,
+       e.line);
 }
 
-Value Machine::apply_binop(BinOp op, const Value& a, const Value& b,
-                           int line) {
+void Machine::apply_binop(Value& out, BinOp op, const Value& a,
+                          const Value& b, int line) {
   // Pointer arithmetic & comparisons.
   if (a.kind == Value::Kind::Ptr || b.kind == Value::Kind::Ptr) {
-    return apply_ptr_binop(op, a, b, line);
+    out = apply_ptr_binop(op, a, b, line);
+    return;
   }
   const bool real = a.kind == Value::Kind::Real ||
                     b.kind == Value::Kind::Real;
@@ -746,16 +743,17 @@ Value Machine::apply_binop(BinOp op, const Value& a, const Value& b,
           : op == BinOp::Le ? x <= y
                             : x >= y;
     }
-    return Value::make_int(r ? 1 : 0);
+    out.set_int(r ? 1 : 0);
+    return;
   }
   if (real) {
     const double x = a.as_real(), y = b.as_real();
     switch (op) {
-      case BinOp::Add: return Value::make_real(x + y);
-      case BinOp::Sub: return Value::make_real(x - y);
-      case BinOp::Mul: return Value::make_real(x * y);
-      case BinOp::Div: return Value::make_real(x / y);
-      case BinOp::Mod: return Value::make_real(std::fmod(x, y));
+      case BinOp::Add: out.set_real(x + y); return;
+      case BinOp::Sub: out.set_real(x - y); return;
+      case BinOp::Mul: out.set_real(x * y); return;
+      case BinOp::Div: out.set_real(x / y); return;
+      case BinOp::Mod: out.set_real(std::fmod(x, y)); return;
       default:
         trap(DiagCategory::RuntimeFault,
              "invalid operands of type double to binary '" +
@@ -768,20 +766,21 @@ Value Machine::apply_binop(BinOp op, const Value& a, const Value& b,
   const auto ux = static_cast<unsigned long long>(x);
   const auto uy = static_cast<unsigned long long>(y);
   switch (op) {
-    case BinOp::Add: return Value::make_int(static_cast<long long>(ux + uy));
-    case BinOp::Sub: return Value::make_int(static_cast<long long>(ux - uy));
-    case BinOp::Mul: return Value::make_int(static_cast<long long>(ux * uy));
+    case BinOp::Add: out.set_int(static_cast<long long>(ux + uy)); return;
+    case BinOp::Sub: out.set_int(static_cast<long long>(ux - uy)); return;
+    case BinOp::Mul: out.set_int(static_cast<long long>(ux * uy)); return;
     case BinOp::Div:
     case BinOp::Mod:
       if (y == 0) {
         trap(DiagCategory::RuntimeFault, "integer division by zero", line);
       }
-      return Value::make_int(op == BinOp::Div ? x / y : x % y);
-    case BinOp::Shl: return Value::make_int(x << (y & 63));
-    case BinOp::Shr: return Value::make_int(x >> (y & 63));
-    case BinOp::BAnd: return Value::make_int(x & y);
-    case BinOp::BOr: return Value::make_int(x | y);
-    case BinOp::BXor: return Value::make_int(x ^ y);
+      out.set_int(op == BinOp::Div ? x / y : x % y);
+      return;
+    case BinOp::Shl: out.set_int(x << (y & 63)); return;
+    case BinOp::Shr: out.set_int(x >> (y & 63)); return;
+    case BinOp::BAnd: out.set_int(x & y); return;
+    case BinOp::BOr: out.set_int(x | y); return;
+    case BinOp::BXor: out.set_int(x ^ y); return;
     default:
       trap(DiagCategory::RuntimeFault,
            "unsupported binary operator " + std::string(binop_text(op)),
@@ -892,37 +891,16 @@ Value Machine::eval_assign(const Expr& e) {
   if (e.text != "=") {
     // Compound: load, apply, store.
     const Value cur = lv_load(lv, e.line);
-    const std::string op = e.text.substr(0, e.text.size() - 1);
-    const auto bop = binop_from_text(op);
-    if (!bop) {
-      trap(DiagCategory::RuntimeFault, "unsupported binary operator " + op,
+    if (!e.binop) {
+      trap(DiagCategory::RuntimeFault,
+           "unsupported binary operator " +
+               e.text.substr(0, e.text.size() - 1),
            e.line);
     }
-    rhs = compound_combine(*bop, cur, rhs, e.line);
+    rhs = compound_combine(*e.binop, cur, rhs, e.line);
   }
   lv_store(lv, rhs, e.line);
   return rhs;
-}
-
-void Machine::store_ident(const std::string& name, Value v, int line) {
-  Found f = find_var(name);
-  if (!f.slot) {
-    trap(DiagCategory::UndeclaredIdentifier,
-         "use of undeclared identifier '" + name + "'", line);
-  }
-  write_var(f, std::move(v));
-}
-
-void Machine::store_deref(const Value& target, Value v, int line) {
-  if (target.kind == Value::Kind::Ref && target.ref != nullptr) {
-    write_var(Found{target.ref, next_scope_id}, std::move(v));
-    return;
-  }
-  if (target.kind != Value::Kind::Ptr) {
-    trap(DiagCategory::RuntimeFault,
-         "indirection through a non-pointer value", line);
-  }
-  store_ref(target.ptr, std::move(v), line);
 }
 
 Value Machine::eval_cast(const Expr& e) {
@@ -971,15 +949,17 @@ Value Machine::eval_lambda(const Expr& e) {
   out.lambda = std::make_shared<Closure>();
   out.lambda->params = e.lambda_params;
   out.lambda->body = e.lambda_body.get();
-  // Capture by value: flatten the current frame's scopes + globals.
-  for (const auto& [name, slot] : globals) {
-    out.lambda->captured[name] = slot.v.clone();
-  }
-  for (const auto& scope : frames.back().scopes) {
-    for (const auto& [name, slot] : scope.vars) {
-      out.lambda->captured[name] = slot.v.clone();
+  // Capture by value: flatten the current frame's scopes + globals, the
+  // innermost binding of each symbol winning.
+  auto& captured = out.lambda->captured;
+  auto capture = [&captured](const Binding& b) {
+    for (const auto& [sym, v] : captured) {
+      if (sym == b.sym) return;
     }
-  }
+    captured.emplace_back(b.sym, b.slot->v.clone());
+  };
+  for (std::size_t i = bindings.size(); i > frame_base;) capture(bindings[--i]);
+  for (std::size_t i = 0; i < globals_end; ++i) capture(bindings[i]);
   return out;
 }
 
@@ -1015,7 +995,7 @@ MemRef Machine::view_ref(const Value& view_val, const Expr& call) {
 }
 
 bool Machine::try_call_var(const Expr& e, Value* out) {
-  const Found f = find_var(e.text);
+  const Found f = find_var(e.sym);
   if (f.slot && f.slot->v.kind == Value::Kind::ViewV) {
     *out = load_ref(view_ref(read_var(f), e), e.line);
     return true;
@@ -1059,7 +1039,7 @@ Value Machine::eval_call(const Expr& e) {
                              b->arg_classes[i] == ArgClass::PtrOut &&
                              e.kids[i]->kind == ExprKind::Ident;
       if (wants_ref) {
-        Found f = find_var(e.kids[i]->text);
+        const Found f = find_var(e.kids[i]->sym);
         if (f.slot) {
           Value r;
           r.kind = Value::Kind::Ref;
@@ -1087,13 +1067,12 @@ Value Machine::call_function(const FunctionDecl& fn, std::vector<Value> args,
     trap(DiagCategory::RuntimeFault,
          "call to '" + fn.name + "' with wrong number of arguments", line);
   }
-  frames.emplace_back();
-  frames.back().scopes.push_back(Scope{next_scope_id++, {}});
+  push_frame();
   for (std::size_t i = 0; i < args.size(); ++i) {
     VarSlot slot;
     slot.type = fn.params[i].type;
     slot.v = coerce_to_type(std::move(args[i]), slot.type);
-    declare(fn.params[i].name, std::move(slot));
+    declare(fn.params[i].sym, std::move(slot));
   }
   Value ret;
   try {
@@ -1101,13 +1080,12 @@ Value Machine::call_function(const FunctionDecl& fn, std::vector<Value> args,
   } catch (ReturnSig& r) {
     ret = coerce_to_type(std::move(r.v), fn.return_type);
   } catch (...) {
-    // Pop this frame before the exception reaches the caller: enclosing
-    // Block handlers pop scopes from frames.back(), so leaving a dead
-    // frame on top would make them underflow *this* frame's scope stack.
-    frames.pop_back();
+    // Pop this frame before the exception reaches the caller, so the
+    // caller's Block handlers pop their own scopes, not this frame's.
+    pop_frame();
     throw;
   }
-  frames.pop_back();
+  pop_frame();
   return ret;
 }
 
@@ -1253,7 +1231,7 @@ void Machine::declare_array(const VarDecl& v, long long n) {
                 eval(*v.init->kids[i]), v.line);
     }
   }
-  declare(v.name, std::move(slot));
+  declare(v.sym, std::move(slot));
 }
 
 void Machine::exec_decl(const VarDecl& v) {
@@ -1300,7 +1278,7 @@ void Machine::exec_decl(const VarDecl& v) {
     } else if (v.init) {
       slot.v = eval(*v.init);
     }
-    declare(v.name, std::move(slot));
+    declare(v.sym, std::move(slot));
     return;
   }
 
@@ -1314,7 +1292,7 @@ void Machine::exec_decl(const VarDecl& v) {
     if (v.init) dims[0] = eval(*v.init).as_int();
     out.dim3v = {dims[0], dims[1], dims[2]};
     slot.v = std::move(out);
-    declare(v.name, std::move(slot));
+    declare(v.sym, std::move(slot));
     return;
   }
 
@@ -1338,7 +1316,7 @@ void Machine::exec_decl(const VarDecl& v) {
         }
       }
       slot.v = std::move(out);
-      declare(v.name, std::move(slot));
+      declare(v.sym, std::move(slot));
       return;
     }
     Value init;
@@ -1351,7 +1329,7 @@ void Machine::exec_decl(const VarDecl& v) {
   if (v.init) {
     slot.v = coerce_to_type(eval(*v.init), slot.type);
   }
-  declare(v.name, std::move(slot));
+  declare(v.sym, std::move(slot));
 }
 
 void Machine::declare_struct(const VarDecl& v, Value* init) {
@@ -1361,7 +1339,7 @@ void Machine::declare_struct(const VarDecl& v, Value* init) {
     if (init != nullptr) {
       slot.v = coerce_to_type(std::move(*init), slot.type);
     }
-    declare(v.name, std::move(slot));
+    declare(v.sym, std::move(slot));
     return;
   }
   Value out;
@@ -1372,7 +1350,7 @@ void Machine::declare_struct(const VarDecl& v, Value* init) {
                                : v.type.struct_name;
   if (init != nullptr) out = init->clone();
   slot.v = std::move(out);
-  declare(v.name, std::move(slot));
+  declare(v.sym, std::move(slot));
 }
 
 // ------------------------------------------------------------ OpenMP --
@@ -1420,8 +1398,9 @@ void Machine::enter_data_env(DataEnv& env_entry, const OmpDirective& d,
   for (const auto& clause : d.clauses) {
     if (clause.name != "map") continue;
     const OmpMapType mt = clause.map_type.value_or(OmpMapType::ToFrom);
-    for (const auto& var : clause.vars) {
-      const Found f = find_var(var);
+    for (std::size_t j = 0; j < clause.vars.size(); ++j) {
+      const std::string& var = clause.vars[j];
+      const Found f = find_var(clause.var_syms[j]);
       if (!f.slot) {
         trap(DiagCategory::UndeclaredIdentifier,
              "use of undeclared identifier '" + var + "' in map clause",
@@ -1490,8 +1469,8 @@ void Machine::exit_unstructured(const OmpDirective& d, int line) {
   for (const auto& clause : d.clauses) {
     if (clause.name != "map") continue;
     const OmpMapType mt = clause.map_type.value_or(OmpMapType::From);
-    for (const auto& var : clause.vars) {
-      const Found f = find_var(var);
+    for (const Sym sym : clause.var_syms) {
+      const Found f = find_var(sym);
       if (!f.slot || f.slot->v.kind != Value::Kind::Ptr) continue;
       const int host_block = f.slot->v.ptr.block;
       const auto hit = root.shadow.find(host_block);
@@ -1513,8 +1492,8 @@ void Machine::exec_target_update(const OmpDirective& d, int line) {
     const bool to = clause.name == "to";
     const bool from = clause.name == "from";
     if (!to && !from) continue;
-    for (const auto& var : clause.vars) {
-      const Found f = find_var(var);
+    for (const Sym sym : clause.var_syms) {
+      const Found f = find_var(sym);
       if (!f.slot || f.slot->v.kind != Value::Kind::Ptr) continue;
       const int host_block = f.slot->v.ptr.block;
       int dev_block = -1;
@@ -1549,14 +1528,14 @@ void Machine::run_omp_body(const Stmt& s, const Chunk* region) {
 }
 
 void Machine::run_subchunk(const Chunk& sub) {
-  const std::size_t base = frames.back().scopes.size();
+  const std::size_t base = scopes.size();
   try {
     execute(sub);
   } catch (...) {
     // Signals (Return/Break/Continue/trap) unwinding out of a compiled
     // region leave its PushScope scopes behind; the interpreter's Block
     // handlers pop theirs during unwind, so restore the same depth.
-    while (frames.back().scopes.size() > base) pop_scope();
+    while (scopes.size() > base) pop_scope();
     throw;
   }
 }
@@ -1594,8 +1573,8 @@ void Machine::exec_target(const Stmt& s, const OmpDirective& d,
   // Scalars listed in map/reduction clauses are written back at exit.
   for (const auto& clause : d.clauses) {
     if (clause.name != "map" && clause.name != "reduction") continue;
-    for (const auto& var : clause.vars) {
-      const Found f = find_var(var);
+    for (const Sym sym : clause.var_syms) {
+      const Found f = find_var(sym);
       if (f.slot && f.slot->v.kind != Value::Kind::Ptr &&
           f.slot->v.kind != Value::Kind::ViewV) {
         shadow.writeback.insert(f.slot);
@@ -1653,10 +1632,10 @@ void Machine::raw_copy(int dst_block, long long dst_off, int src_block,
 // --------------------------------------------------------------- run --
 RunResult Machine::run(const std::vector<std::string>& args) {
   try {
-    frames.emplace_back();
-    frames.back().scopes.push_back(Scope{0, {}});
-
-    // Globals.
+    // The bottom frame's one scope holds the globals, so it carries
+    // their scope id. main's frame goes on top of it.
+    frames.push_back(FrameMark{});
+    scopes.push_back(ScopeMark{-1, 0});
     for (const GlobalVarDecl* g : prog.globals) {
       exec_global(*g);
     }
@@ -1701,15 +1680,9 @@ RunResult Machine::run(const std::vector<std::string>& args) {
 }
 
 void Machine::exec_global(const GlobalVarDecl& g) {
-  // Globals live in `globals`; reuse exec_decl by temporarily declaring
-  // into the bottom frame scope, then moving.
+  // run() leaves the bottom scope current: exec_decl declares into it.
   exec_decl(g.var);
-  auto& vars = frames.back().scopes.back().vars;
-  auto it = vars.find(g.var.name);
-  if (it != vars.end()) {
-    globals[g.var.name] = std::move(it->second);
-    vars.erase(it);
-  }
+  globals_end = bindings.size();
 }
 
 // ------------------------------------------------------------ InterpCtx --
@@ -1746,13 +1719,12 @@ void Machine::call_closure(const Value& lambda, std::vector<Value> args,
     trap(DiagCategory::RuntimeFault, "value is not callable", line);
   }
   const Closure& c = *lambda.lambda;
-  frames.emplace_back();
-  frames.back().scopes.push_back(Scope{next_scope_id++, {}});
-  // Captured environment (by value).
-  for (const auto& [name, v] : c.captured) {
+  push_frame();
+  // Captured environment (by value). Capture keeps one entry per symbol.
+  for (const auto& [sym, v] : c.captured) {
     VarSlot slot;
     slot.v = v;  // shared handles stay shared; scalars already copied
-    frames.back().scopes.back().vars[name] = std::move(slot);
+    bind(sym, std::move(slot));
   }
   push_scope();
   std::size_t ref_i = 0;
@@ -1771,7 +1743,7 @@ void Machine::call_closure(const Value& lambda, std::vector<Value> args,
     } else if (i < args.size()) {
       slot.v = coerce_to_type(std::move(args[i]), slot.type);
     }
-    declare(c.params[i].name, std::move(slot));
+    declare(c.params[i].sym, std::move(slot));
   }
   ExecEnv ee;
   ee.device = on_device;
@@ -1790,7 +1762,7 @@ void Machine::call_closure(const Value& lambda, std::vector<Value> args,
       lam = lam_hold.get();
     }
   }
-  const std::size_t base_scopes = frames.back().scopes.size();
+  const std::size_t base_scopes = scopes.size();
   try {
     if (lam != nullptr) {
       execute(*lam);  // a top-level compiled return ends the chunk
@@ -1802,27 +1774,30 @@ void Machine::call_closure(const Value& lambda, std::vector<Value> args,
   } catch (...) {
     exec_envs.pop_back();
     // Copy back by-ref params even on unwinding? No: propagate as-is.
-    frames.pop_back();
+    pop_frame();
     throw;
   }
   exec_envs.pop_back();
   // A compiled return exits the chunk without running its PopScopes (the
   // interpreter's ReturnSig unwind pops them); either way the copy-back
   // below must read the param scope, so restore the entry depth.
-  while (frames.back().scopes.size() > base_scopes) pop_scope();
-  // Copy back by-ref params.
+  while (scopes.size() > base_scopes) pop_scope();
+  // Copy back by-ref params from the parameter scope.
+  auto param_slot = [this](Sym sym) -> VarSlot* {
+    for (std::size_t i = scopes.back().base; i < bindings.size(); ++i) {
+      if (bindings[i].sym == sym) return bindings[i].slot;
+    }
+    return nullptr;
+  };
   ref_i = 0;
   for (std::size_t i = 0; i < c.params.size(); ++i) {
     if (!c.params[i].by_ref) continue;
     if (ref_i < ref_slots.size() && ref_slots[ref_i]) {
-      const Found f{
-          &frames.back().scopes.back().vars.at(c.params[i].name),
-          frames.back().scopes.back().id};
-      ref_slots[ref_i]->v = f.slot->v;
+      ref_slots[ref_i]->v = param_slot(c.params[i].sym)->v;
     }
     ++ref_i;
   }
-  frames.pop_back();
+  pop_frame();
 }
 
 bool Machine::on_device() const { return device_ctx(); }

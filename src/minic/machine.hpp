@@ -13,6 +13,7 @@
 // This is an internal header (engine implementations and the bytecode
 // compiler); tools and the eval harness program against minic/engine.hpp.
 
+#include <deque>
 #include <map>
 #include <memory>
 #include <optional>
@@ -40,18 +41,6 @@ struct ExitSig {
 struct TrapSig {
   Diag d;
 };
-
-/// Binary operators, pre-decoded from their source spelling so the VM does
-/// not compare strings per instruction. apply_binop/compound_combine are
-/// the one implementation of MiniC arithmetic for both engines.
-enum class BinOp {
-  Add, Sub, Mul, Div, Mod,
-  Shl, Shr, BAnd, BOr, BXor,
-  Eq, Ne, Lt, Gt, Le, Ge,
-};
-
-std::optional<BinOp> binop_from_text(const std::string& op);
-const char* binop_text(BinOp op);
 
 struct Chunk;
 class ChunkPack;
@@ -86,15 +75,33 @@ class Machine : public InterpCtx {
   std::vector<MemBlock> memory;
   long long total_cells = 0;
 
-  struct Scope {
+  /// Variables: one stack of (symbol, slot) bindings for every frame.
+  /// Globals occupy [0, globals_end); each frame and each block scope is
+  /// a watermark into the stack, so entering and leaving one allocates
+  /// nothing and lookup compares interned symbols, never strings.
+  /// `slots[i]` backs `bindings[i]`. Slots are never destroyed before the
+  /// machine: a popped one is reused by the next binding at its index, and
+  /// a deque keeps addresses stable as the stack grows, since Found,
+  /// LValue, ScalarShadow and closure by-ref parameters hold VarSlot*.
+  struct Binding {
+    Sym sym = kNoSym;
+    int scope_id = -1;  // the declaring scope's id; -1: global
+    VarSlot* slot = nullptr;
+  };
+  struct ScopeMark {
     int id = 0;
-    std::map<std::string, VarSlot> vars;
+    std::size_t base = 0;  // first binding of the scope
   };
-  struct Frame {
-    std::vector<Scope> scopes;
+  struct FrameMark {
+    std::size_t scope_base = 0;    // first scope of the frame
+    std::size_t binding_base = 0;  // first binding of the frame
   };
-  std::map<std::string, VarSlot> globals;
-  std::vector<Frame> frames;
+  std::vector<Binding> bindings;
+  std::deque<VarSlot> slots;
+  std::vector<ScopeMark> scopes;
+  std::vector<FrameMark> frames;
+  std::size_t globals_end = 0;
+  std::size_t frame_base = 0;  // frames.back().binding_base
   int next_scope_id = 1;
 
   struct ExecEnv {
@@ -156,15 +163,33 @@ class Machine : public InterpCtx {
   static Value coerce_to_type(Value v, const Type& t);
 
   // -------------------------------------------------------------- env --
+  /// A call frame: its first scope, with the next scope id.
+  void push_frame();
+  void pop_frame();
   void push_scope();
   void pop_scope();
-  VarSlot* declare(const std::string& name, VarSlot slot);
+  /// Bind `sym` in the current scope. A binding of the same symbol that
+  /// scope already holds is overwritten in place (same slot).
+  VarSlot* declare(Sym sym, VarSlot slot);
+  /// Bind without the same-scope check (the caller knows `sym` is new).
+  VarSlot* bind(Sym sym, VarSlot slot);
 
   struct Found {
     VarSlot* slot = nullptr;
     int scope_id = -1;  // -1: global
   };
-  Found find_var(const std::string& name);
+  /// Innermost binding of `sym` in the current frame, else the global.
+  Found find_var(Sym sym) const {
+    const Binding* b = bindings.data();
+    for (std::size_t i = bindings.size(); i > frame_base;) {
+      --i;
+      if (b[i].sym == sym) return {b[i].slot, b[i].scope_id};
+    }
+    for (std::size_t i = 0; i < globals_end; ++i) {
+      if (b[i].sym == sym) return {b[i].slot, -1};
+    }
+    return {};
+  }
   bool shadowed(const Found& f) const;
   Value read_var(const Found& f);
   void write_var(const Found& f, Value v);
@@ -182,8 +207,8 @@ class Machine : public InterpCtx {
 
   LValue resolve_lvalue(const Expr& e);
   /// resolve_lvalue's Ident case without the node-entry fuel charge (the
-  /// VM charges fuel on the instruction instead).
-  LValue lvalue_ident(const std::string& name, int line);
+  /// VM charges fuel on the instruction instead). `name` is for the trap.
+  LValue lvalue_ident(Sym sym, const std::string& name, int line);
   Value lv_load(const LValue& lv, int line);
   void lv_store(const LValue& lv, Value v, int line);
   static Value make_struct(std::string name);
@@ -195,8 +220,8 @@ class Machine : public InterpCtx {
   Value eval_ident(const Expr& e);
   /// eval_ident without the Expr node: CUDA dim3 env names, declared
   /// variables, known constants, undeclared-identifier trap — in that
-  /// exact order.
-  Value ident_value(const std::string& name, int line);
+  /// exact order. `name` is only spelled out by the trap.
+  Value ident_value(Sym sym, const std::string& name, int line);
   Value eval_unary(const Expr& e);
   Value eval_binary(const Expr& e);
   Value eval_assign(const Expr& e);
@@ -210,7 +235,10 @@ class Machine : public InterpCtx {
   /// operand evaluation (pointer dispatch, real/int split, *wrapping
   /// unsigned* int + - *); compound_combine mirrors compound assignment
   /// (which uses *signed* + - *). Distinct on purpose — see eval_assign.
-  Value apply_binop(BinOp op, const Value& a, const Value& b, int line);
+  /// apply_binop writes its result into `out`, which may alias `a` or `b`
+  /// (a VM register), so a numeric result builds no temporary Value.
+  void apply_binop(Value& out, BinOp op, const Value& a, const Value& b,
+                   int line);
   Value apply_ptr_binop(BinOp op, const Value& a, const Value& b, int line);
   Value compound_combine(BinOp op, const Value& cur, const Value& rhs,
                          int line);
@@ -220,9 +248,6 @@ class Machine : public InterpCtx {
   Value load_deref(const Value& p, int line);
   Value incdec_apply(const LValue& lv, long long delta, bool postfix,
                      int line);
-  /// Assignment sinks for resolved targets: named variable / `*p`.
-  void store_ident(const std::string& name, Value v, int line);
-  void store_deref(const Value& target, Value v, int line);
 
   // -------------------------------------------------------------- calls --
   MemRef view_ref(const Value& view_val, const Expr& call);
@@ -260,7 +285,7 @@ class Machine : public InterpCtx {
   /// the same nodes.
   Value execute(const Chunk& ch);
   /// Run an OMP-region subchunk: on abnormal exit (signal/trap) the
-  /// frame's scope stack is restored to its entry depth — the compiled
+  /// scope stack is restored to its entry depth — the compiled
   /// analogue of the Block unwind handlers popping their own scopes.
   void run_subchunk(const Chunk& sub);
   /// Pooled register files + lvalue stacks for execute(): kernel-thread

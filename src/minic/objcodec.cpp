@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "minic/diag.hpp"
+#include "minic/sema.hpp"
 #include "support/rng.hpp"
 
 namespace pareval::minic {
@@ -571,6 +572,7 @@ std::shared_ptr<TranslationUnit> decode_tu(std::string_view bytes) {
   if (!dec_string_list(r, &tu->missing_probes)) return nullptr;
   if (!dec_diags(r, &tu->diags)) return nullptr;
   if (!r.ok() || !r.at_end()) return nullptr;
+  intern_symbols(*tu);
   return tu;
 }
 

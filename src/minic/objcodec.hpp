@@ -8,7 +8,9 @@
 // every field sema wrote (expression types, parsed OMP directives,
 // called_functions, diagnostics) round-trips, so a decoded TU links and
 // executes bit-identically to a freshly compiled one without re-running
-// the preprocessor, parser, or sema. A payload that is truncated,
+// the preprocessor, parser, or sema. Interned symbols and decoded
+// operators are not persisted: decode_tu recomputes them from the
+// spellings (intern_symbols), as decode_chunk does for chunk names. A payload that is truncated,
 // bit-flipped, or written by a different codec version fails the embedded
 // magic/version/content-hash checks and decodes to nothing — callers
 // treat that as a clean cold miss, never a crash or a mis-execution.

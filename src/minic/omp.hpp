@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "minic/diag.hpp"
+#include "minic/sym.hpp"
 
 namespace pareval::minic {
 
@@ -39,6 +40,7 @@ struct OmpClause {
   std::optional<OmpMapType> map_type;  // for map
   std::string reduction_op;         // for reduction: "+", "*", "max", ...
   std::vector<std::string> vars;    // variable names listed in the clause
+  std::vector<Sym> var_syms;        // `vars` interned by sema, same order
   std::string raw_args;             // unparsed argument text
   long long int_arg = 0;            // for collapse/num_threads/...
 

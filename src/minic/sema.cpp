@@ -682,10 +682,84 @@ class Sema {
   bool in_device_code_ = false;
 };
 
+// ------------------------------------------------------------ symbols --
+// A whole-tree walk rather than stamps inside the checks above: the
+// checks stop early on some errors, and every node an engine can reach
+// must carry its symbol.
+
+void intern_expr(Expr& e);
+
+void intern_var_decl(VarDecl& v) {
+  v.sym = intern(v.name);
+  if (v.init) intern_expr(*v.init);
+  for (auto& a : v.ctor_args) intern_expr(*a);
+  if (v.array_size) intern_expr(*v.array_size);
+}
+
+void intern_stmt(Stmt& s) {
+  for (auto& child : s.body) intern_stmt(*child);
+  if (s.expr) intern_expr(*s.expr);
+  for (auto& v : s.decls) intern_var_decl(v);
+  if (s.then_branch) intern_stmt(*s.then_branch);
+  if (s.else_branch) intern_stmt(*s.else_branch);
+  if (s.for_init) intern_stmt(*s.for_init);
+  if (s.for_inc) intern_expr(*s.for_inc);
+  if (s.loop_body) intern_stmt(*s.loop_body);
+  if (s.omp) {
+    for (auto& clause : s.omp->clauses) {
+      clause.var_syms.clear();
+      for (const auto& var : clause.vars) {
+        clause.var_syms.push_back(intern(var));
+      }
+    }
+  }
+  if (s.omp_body) intern_stmt(*s.omp_body);
+}
+
+void intern_expr(Expr& e) {
+  switch (e.kind) {
+    case ExprKind::Ident:
+    case ExprKind::Call:
+      e.sym = intern(e.text);
+      break;
+    case ExprKind::Binary:
+      e.binop = binop_from_text(e.text);
+      break;
+    case ExprKind::Assign:
+      if (e.text != "=") {
+        e.binop = binop_from_text(e.text.substr(0, e.text.size() - 1));
+      }
+      break;
+    case ExprKind::LambdaExpr:
+      for (auto& p : e.lambda_params) p.sym = intern(p.name);
+      break;
+    default:
+      break;
+  }
+  for (auto& k : e.kids) intern_expr(*k);
+  if (e.launch_grid) intern_expr(*e.launch_grid);
+  if (e.launch_block) intern_expr(*e.launch_block);
+  if (e.lambda_body) intern_stmt(*e.lambda_body);
+}
+
 }  // namespace
+
+void intern_symbols(TranslationUnit& tu) {
+  for (auto& sd : tu.structs) {
+    for (auto& f : sd.fields) {
+      if (f.array_size) intern_expr(*f.array_size);
+    }
+  }
+  for (auto& g : tu.globals) intern_var_decl(g.var);
+  for (auto& fn : tu.functions) {
+    for (auto& p : fn.params) p.sym = intern(p.name);
+    if (fn.body) intern_stmt(*fn.body);
+  }
+}
 
 void analyze(TranslationUnit& tu, const SemaOptions& options) {
   Sema(tu, options).run();
+  intern_symbols(tu);
 }
 
 }  // namespace pareval::minic

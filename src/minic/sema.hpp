@@ -22,7 +22,16 @@ struct SemaOptions {
 
 /// Analyse (and annotate: OpenMP directives are parsed into Stmt::omp)
 /// one translation unit. Diagnostics are appended to tu.diags;
-/// tu.called_functions is populated for the linker.
+/// tu.called_functions is populated for the linker. Ends with
+/// intern_symbols(tu).
 void analyze(TranslationUnit& tu, const SemaOptions& options);
+
+/// Stamp every name the runtime looks up with its interned symbol
+/// (Expr::sym on identifiers and callees, VarDecl/ParamDecl/lambda
+/// parameter syms, OmpClause::var_syms) and every binary or compound
+/// assignment operator with its decoded Expr::binop. Deterministic in
+/// the tree alone, so the object codec re-runs it on decode instead of
+/// persisting the results.
+void intern_symbols(TranslationUnit& tu);
 
 }  // namespace pareval::minic

@@ -59,4 +59,46 @@ int type_size(const Type& t) {
   return base_type_size(t.base);
 }
 
+std::optional<BinOp> binop_from_text(const std::string& op) {
+  if (op == "+") return BinOp::Add;
+  if (op == "-") return BinOp::Sub;
+  if (op == "*") return BinOp::Mul;
+  if (op == "/") return BinOp::Div;
+  if (op == "%") return BinOp::Mod;
+  if (op == "<<") return BinOp::Shl;
+  if (op == ">>") return BinOp::Shr;
+  if (op == "&") return BinOp::BAnd;
+  if (op == "|") return BinOp::BOr;
+  if (op == "^") return BinOp::BXor;
+  if (op == "==") return BinOp::Eq;
+  if (op == "!=") return BinOp::Ne;
+  if (op == "<") return BinOp::Lt;
+  if (op == ">") return BinOp::Gt;
+  if (op == "<=") return BinOp::Le;
+  if (op == ">=") return BinOp::Ge;
+  return std::nullopt;
+}
+
+const char* binop_text(BinOp op) {
+  switch (op) {
+    case BinOp::Add: return "+";
+    case BinOp::Sub: return "-";
+    case BinOp::Mul: return "*";
+    case BinOp::Div: return "/";
+    case BinOp::Mod: return "%";
+    case BinOp::Shl: return "<<";
+    case BinOp::Shr: return ">>";
+    case BinOp::BAnd: return "&";
+    case BinOp::BOr: return "|";
+    case BinOp::BXor: return "^";
+    case BinOp::Eq: return "==";
+    case BinOp::Ne: return "!=";
+    case BinOp::Lt: return "<";
+    case BinOp::Gt: return ">";
+    case BinOp::Le: return "<=";
+    case BinOp::Ge: return ">=";
+  }
+  return "?";
+}
+
 }  // namespace pareval::minic

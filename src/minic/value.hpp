@@ -9,9 +9,11 @@
 // deterministic garbage and set a flag, which is how an un-copied device
 // buffer poisons a checksum instead of crashing.
 
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "minic/ast.hpp"
@@ -42,7 +44,16 @@ struct ViewData {
   BaseType elem = BaseType::Double;
   std::string elem_struct;  // when elem == Struct
 
-  long long size() const { return extent[0] * extent[1] * extent[2]; }
+  /// Element count. The extents are program-controlled: a product that
+  /// overflows saturates to LLONG_MAX, which no allocation limit admits.
+  long long size() const {
+    long long n = 0;
+    if (__builtin_mul_overflow(extent[0], extent[1], &n) ||
+        __builtin_mul_overflow(n, extent[2], &n)) {
+      return std::numeric_limits<long long>::max();
+    }
+    return n;
+  }
 };
 
 /// Struct values: field name -> value. Copied deeply on assignment
@@ -56,7 +67,8 @@ struct StructData {
 struct Closure {
   std::vector<Expr::Param> params;
   const Stmt* body = nullptr;  // borrowed from the owning AST
-  std::map<std::string, Value> captured;
+  /// One entry per symbol: the innermost binding visible at creation.
+  std::vector<std::pair<Sym, Value>> captured;
 };
 
 struct VarSlot;
@@ -113,6 +125,26 @@ struct Value {
     return out;
   }
 
+  /// Become make_int(v) / make_real(v) in place. A value holding no
+  /// heap payload (the common numeric case) is overwritten field by field
+  /// instead of through a temporary.
+  void set_int(long long v) {
+    if (!plain()) {
+      *this = make_int(v);
+      return;
+    }
+    reset_scalars(Kind::Int);
+    i = v;
+  }
+  void set_real(double v) {
+    if (!plain()) {
+      *this = make_real(v);
+      return;
+    }
+    reset_scalars(Kind::Real);
+    d = v;
+  }
+
   bool is_numeric() const { return kind == Kind::Int || kind == Kind::Real; }
   /// Numeric value as double (Int converts).
   double as_real() const { return kind == Kind::Real ? d : static_cast<double>(i); }
@@ -133,6 +165,17 @@ struct Value {
 
   /// Deep copy (structs cloned; views/lambdas shared — they are handles).
   Value clone() const;
+
+ private:
+  bool plain() const { return s.empty() && !strct && !view && !lambda; }
+  void reset_scalars(Kind k) {
+    kind = k;
+    i = 0;
+    d = 0.0;
+    ptr = MemRef{};
+    dim3v = Dim3{};
+    ref = nullptr;
+  }
 };
 
 /// A declared variable: static type plus current value.

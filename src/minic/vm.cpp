@@ -8,7 +8,10 @@
 namespace pareval::minic {
 
 // Direct-threaded dispatch (computed goto) where available; a plain
-// switch loop otherwise. Both variants share the op bodies below.
+// switch loop otherwise. Both variants share the op bodies below. A
+// computed goto does not run the destructors of the block it leaves, so
+// an op body keeps every object that owns memory in an inner block that
+// closes before VM_NEXT / VM_JUMP.
 #if defined(__GNUC__) || defined(__clang__)
 #define PAREVAL_VM_CGOTO 1
 #endif
@@ -39,13 +42,12 @@ struct Vm::Impl final : Machine {
            "call to '" + fn.name + "' with wrong number of arguments", line);
     }
     const Chunk& ch = chunk_for(fn);
-    frames.emplace_back();
-    frames.back().scopes.push_back(Scope{next_scope_id++, {}});
+    push_frame();
     for (std::size_t i = 0; i < args.size(); ++i) {
       VarSlot slot;
       slot.type = fn.params[i].type;
       slot.v = coerce_to_type(std::move(args[i]), slot.type);
-      declare(fn.params[i].name, std::move(slot));
+      declare(fn.params[i].sym, std::move(slot));
     }
     Value ret;
     try {
@@ -58,10 +60,10 @@ struct Vm::Impl final : Machine {
     } catch (...) {
       // Mirror Machine::call_function: pop the frame before propagating
       // so enclosing Block handlers pop scopes from their own frame.
-      frames.pop_back();
+      pop_frame();
       throw;
     }
-    frames.pop_back();
+    pop_frame();
     return ret;
   }
 };
@@ -160,8 +162,19 @@ Value Machine::execute(const Chunk& ch) {
 
       VM_CASE(LoadVar) : {
         const Instr& I = code[ip];
-        regs[I.a] =
-            ident_value(ch.names[static_cast<std::size_t>(I.imm)], I.line);
+        const auto k = static_cast<std::size_t>(I.imm);
+        const Sym sym = ch.syms[k];
+        // Fast path: a set, unshadowed variable copies straight into the
+        // register. ident_value handles every other case in its order.
+        if (!is_coordinate_sym(sym)) {
+          const Found f = find_var(sym);
+          if (f.slot != nullptr && f.slot->v.kind != Value::Kind::Unset &&
+              !shadowed(f)) {
+            regs[I.a] = f.slot->v;
+            VM_NEXT();
+          }
+        }
+        regs[I.a] = ident_value(sym, ch.names[k], I.line);
         VM_NEXT();
       }
 
@@ -179,15 +192,15 @@ Value Machine::execute(const Chunk& ch) {
 
       VM_CASE(CheckVar) : {
         const Instr& I = code[ip];
-        lvs.push_back(lvalue_ident(
-            ch.names[static_cast<std::size_t>(I.imm)], I.line));
+        const auto k = static_cast<std::size_t>(I.imm);
+        lvs.push_back(lvalue_ident(ch.syms[k], ch.names[k], I.line));
         VM_NEXT();
       }
 
       VM_CASE(CheckDeref) : {
         const Instr& I = code[ip];
         const Value& p = regs[I.a];
-        LValue lv;
+        LValue& lv = lvs.emplace_back();  // built in place: no local to leak
         if (I.flag) {  // p[i]
           if (p.kind != Value::Kind::Ptr) {
             trap(DiagCategory::RuntimeFault,
@@ -208,7 +221,6 @@ Value Machine::execute(const Chunk& ch) {
             lv.cell = p.ptr;
           }
         }
-        lvs.push_back(std::move(lv));
         VM_NEXT();
       }
 
@@ -230,13 +242,15 @@ Value Machine::execute(const Chunk& ch) {
 
       VM_CASE(CompoundLv) : {
         const Instr& I = code[ip];
-        const LValue lv = std::move(lvs.back());
-        lvs.pop_back();
-        const Value cur = lv_load(lv, I.line);
-        Value comb = compound_combine(static_cast<BinOp>(I.binop), cur,
-                                      regs[I.a], I.line);
-        lv_store(lv, comb, I.line);
-        regs[I.a] = std::move(comb);
+        {
+          const LValue lv = std::move(lvs.back());
+          lvs.pop_back();
+          const Value cur = lv_load(lv, I.line);
+          Value comb = compound_combine(static_cast<BinOp>(I.binop), cur,
+                                        regs[I.a], I.line);
+          lv_store(lv, comb, I.line);
+          regs[I.a] = std::move(comb);
+        }
         VM_NEXT();
       }
 
@@ -262,13 +276,11 @@ Value Machine::execute(const Chunk& ch) {
 
       VM_CASE(AddrVar) : {
         const Instr& I = code[ip];
-        const Found f =
-            find_var(ch.names[static_cast<std::size_t>(I.imm)]);
+        const auto k = static_cast<std::size_t>(I.imm);
+        const Found f = find_var(ch.syms[k]);
         if (!f.slot) {
           trap(DiagCategory::UndeclaredIdentifier,
-               "use of undeclared identifier '" +
-                   ch.names[static_cast<std::size_t>(I.imm)] + "'",
-               I.line);
+               "use of undeclared identifier '" + ch.names[k] + "'", I.line);
         }
         Value out;
         out.kind = Value::Kind::Ref;
@@ -279,13 +291,15 @@ Value Machine::execute(const Chunk& ch) {
 
       VM_CASE(AddrLv) : {
         const Instr& I = code[ip];
-        const LValue lv = std::move(lvs.back());
-        lvs.pop_back();
-        if (lv.kind != LValue::Kind::Cell) {
-          trap(DiagCategory::RuntimeFault,
-               "cannot take the address of this expression", I.line);
+        {
+          const LValue lv = std::move(lvs.back());
+          lvs.pop_back();
+          if (lv.kind != LValue::Kind::Cell) {
+            trap(DiagCategory::RuntimeFault,
+                 "cannot take the address of this expression", I.line);
+          }
+          regs[I.a] = Value::make_ptr(lv.cell);
         }
-        regs[I.a] = Value::make_ptr(lv.cell);
         VM_NEXT();
       }
 
@@ -312,8 +326,8 @@ Value Machine::execute(const Chunk& ch) {
 
       VM_CASE(Binop) : {
         const Instr& I = code[ip];
-        regs[I.a] = apply_binop(static_cast<BinOp>(I.binop), regs[I.b],
-                                regs[I.c], I.line);
+        apply_binop(regs[I.a], static_cast<BinOp>(I.binop), regs[I.b],
+                    regs[I.c], I.line);
         VM_NEXT();
       }
 
@@ -371,8 +385,7 @@ Value Machine::execute(const Chunk& ch) {
         if (I.flag) {
           slot.v = coerce_to_type(std::move(regs[I.a]), slot.type);
         }
-        declare(ch.names[static_cast<std::size_t>(I.imm)],
-                std::move(slot));
+        declare(ch.syms[static_cast<std::size_t>(I.imm)], std::move(slot));
         VM_NEXT();
       }
 
@@ -414,20 +427,21 @@ Value Machine::execute(const Chunk& ch) {
 
       VM_CASE(Builtin) : {
         const Instr& I = code[ip];
-        std::vector<Value> args;
-        args.reserve(I.c);
-        for (unsigned short i = 0; i < I.c; ++i) {
-          args.push_back(std::move(regs[I.b + i]));
+        {
+          std::vector<Value> args;
+          args.reserve(I.c);
+          for (unsigned short i = 0; i < I.c; ++i) {
+            args.push_back(std::move(regs[I.b + i]));
+          }
+          const BuiltinDef* bd = static_cast<const BuiltinDef*>(I.node);
+          regs[I.a] = bd->impl(*this, args, I.line);
         }
-        const BuiltinDef* bd = static_cast<const BuiltinDef*>(I.node);
-        regs[I.a] = bd->impl(*this, args, I.line);
         VM_NEXT();
       }
 
       VM_CASE(RefArg) : {
         const Instr& I = code[ip];
-        const Found f =
-            find_var(ch.names[static_cast<std::size_t>(I.imm)]);
+        const Found f = find_var(ch.syms[static_cast<std::size_t>(I.imm)]);
         if (f.slot) {
           Value r;
           r.kind = Value::Kind::Ref;

@@ -8,13 +8,21 @@
 
 #include <gtest/gtest.h>
 
+#include <future>
+#include <map>
+
+#include "agents/techniques.hpp"
 #include "apps/app.hpp"
 #include "buildsim/builder.hpp"
 #include "eval/harness.hpp"
 #include "eval/pipeline.hpp"
+#include "eval/spec.hpp"
+#include "eval/suite.hpp"
 #include "execsim/driver.hpp"
 #include "minic/engine.hpp"
+#include "minic/sym.hpp"
 #include "support/par.hpp"
+#include "support/rng.hpp"
 
 namespace pa = pareval::apps;
 namespace bs = pareval::buildsim;
@@ -26,6 +34,7 @@ using pareval::minic::DiagCategory;
 using pareval::minic::EngineKind;
 using pareval::minic::RunLimits;
 using pareval::minic::RunResult;
+using pareval::minic::interned_symbols;
 using pareval::minic::make_engine;
 using pareval::vfs::Repo;
 
@@ -160,6 +169,72 @@ TEST_P(VmDiff, StagedScoresBitIdentical) {
 
 INSTANTIATE_TEST_SUITE_P(Suite, VmDiff, testing::ValuesIn(shipped_cases()),
                          case_name);
+
+namespace {
+
+/// FNV-1a of the RunResult of every shipped target x test, captured
+/// before names were resolved to interned symbols. Both engines must hit
+/// the same constant; a run whose steps, output, diags or stats move by
+/// one bit changes its entry.
+const std::map<std::string, std::uint64_t>& pinned_fingerprints() {
+  static const std::map<std::string, std::uint64_t> kPinned = {
+    {"nanoXOR/OpenMP Threads/0", 0x66cb60efaadbbb18ULL},
+    {"nanoXOR/OpenMP Threads/1", 0xefc8bc33cde08260ULL},
+    {"nanoXOR/OpenMP Threads/2", 0x6d06bfd538e6870fULL},
+    {"nanoXOR/CUDA/0", 0x804d9047b49b7baeULL},
+    {"nanoXOR/CUDA/1", 0xe155ee1e587adee2ULL},
+    {"nanoXOR/CUDA/2", 0x302bdc997725c088ULL},
+    {"microXORh/OpenMP Threads/0", 0x66cb60efaadbbb18ULL},
+    {"microXORh/OpenMP Threads/1", 0xefc8bc33cde08260ULL},
+    {"microXORh/OpenMP Threads/2", 0x6d06bfd538e6870fULL},
+    {"microXORh/CUDA/0", 0x804d9047b49b7baeULL},
+    {"microXORh/CUDA/1", 0xe155ee1e587adee2ULL},
+    {"microXORh/CUDA/2", 0x302bdc997725c088ULL},
+    {"microXOR/OpenMP Threads/0", 0x66cb60efaadbbb18ULL},
+    {"microXOR/OpenMP Threads/1", 0xefc8bc33cde08260ULL},
+    {"microXOR/OpenMP Threads/2", 0x6d06bfd538e6870fULL},
+    {"microXOR/CUDA/0", 0x804d9047b49b7baeULL},
+    {"microXOR/CUDA/1", 0xe155ee1e587adee2ULL},
+    {"microXOR/CUDA/2", 0x302bdc997725c088ULL},
+    {"SimpleMOC-kernel/CUDA/0", 0x795e50b3aa5d4bebULL},
+    {"SimpleMOC-kernel/CUDA/1", 0x1952bd757a3bb0fdULL},
+    {"SimpleMOC-kernel/CUDA/2", 0x39e2c211484418e5ULL},
+    {"XSBench/OpenMP Threads/0", 0x007cfeee7aae86a4ULL},
+    {"XSBench/OpenMP Threads/1", 0xe17e6904455cad95ULL},
+    {"XSBench/OpenMP Threads/2", 0xea9b8e623cfd9d5cULL},
+    {"XSBench/CUDA/0", 0x13a9233aed9e0adaULL},
+    {"XSBench/CUDA/1", 0x0d1f9a5a773c6828ULL},
+    {"XSBench/CUDA/2", 0xf95c24441f185538ULL},
+    {"llm.c/CUDA/0", 0x5f71ac47845575caULL},
+    {"llm.c/CUDA/1", 0xf913aedee1e75f6dULL},
+    {"llm.c/CUDA/2", 0x8e1e33152277d0daULL},
+  };
+  return kPinned;
+}
+
+}  // namespace
+
+TEST(VmCorpus, FingerprintsPinned) {
+  std::size_t checked = 0;
+  for (const AppModelCase& c : shipped_cases()) {
+    const auto build = bs::build_repo(c.app->repos.at(c.model));
+    ASSERT_TRUE(build.ok) << build.log;
+    for (std::size_t t = 0; t < c.app->tests.size(); ++t) {
+      const std::string key = c.app->name + "/" + pa::model_name(c.model) +
+                              "/" + std::to_string(t);
+      const auto it = pinned_fingerprints().find(key);
+      ASSERT_NE(it, pinned_fingerprints().end()) << key;
+      for (const EngineKind kind : {EngineKind::Interp, EngineKind::Vm}) {
+        const std::uint64_t h = pareval::support::stable_hash(
+            fingerprint(run_engine(*build.exe, kind, c.app->tests[t].args)));
+        EXPECT_EQ(it->second, h)
+            << key << (kind == EngineKind::Vm ? " vm" : " interp");
+      }
+      ++checked;
+    }
+  }
+  EXPECT_EQ(checked, pinned_fingerprints().size());
+}
 
 // --------------------------------------------- language feature diffs ----
 
@@ -643,6 +718,361 @@ int main() {
                                Capabilities{});
   EXPECT_FALSE(r.ok);
   EXPECT_TRUE(has_runtime_fault(r.diags));
+}
+
+TEST(VmFault, HugeMallocTrapsOutOfMemory) {
+  // The second request is far past RunLimits::max_cells; adding it to the
+  // running total before the check overflowed a signed counter.
+  const RunResult r = run_both(R"(
+#include <stdlib.h>
+int main() {
+  char* a = (char*)malloc(16);
+  char* b = (char*)malloc(9223372036854775807);
+  return a == b;
+}
+)",
+                               Capabilities{});
+  EXPECT_FALSE(r.ok);
+  EXPECT_NE(r.stderr_text.find("out of memory (simulated)"),
+            std::string::npos)
+      << r.stderr_text;
+}
+
+TEST(VmFault, OverflowingViewExtentsTrapOutOfMemory) {
+  // 2^32 x 2^32 elements: the extent product wraps to 0 in 64 bits.
+  Capabilities caps;
+  caps.kokkos = true;
+  const RunResult r = run_both(R"(
+#include <Kokkos_Core.hpp>
+#include <stdio.h>
+int main() {
+  Kokkos::initialize();
+  {
+    Kokkos::View<double**> v("v", 4294967296, 4294967296);
+    printf("made\n");
+    v(0, 0) = 1.0;
+  }
+  Kokkos::finalize();
+  return 0;
+}
+)",
+                               caps);
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.stdout_text, "");
+  EXPECT_NE(r.stderr_text.find("out of memory (simulated)"),
+            std::string::npos)
+      << r.stderr_text;
+}
+
+// ------------------------------------------------ name resolution ----
+//
+// Both engines resolve names through one binding stack keyed by interned
+// symbols; these pin the scoping rules the string-keyed scope chain had.
+
+TEST(VmNames, NestedShadowing) {
+  const RunResult r = run_both(R"(
+#include <stdio.h>
+int x = 1;
+int get() { return x; }
+int main() {
+  int x = 2;
+  printf("%d %d\n", x, get());
+  {
+    int x = 3;
+    printf("%d\n", x);
+    {
+      x = 4;
+      int x = 5;
+      x++;
+      printf("%d %d\n", x, get());
+    }
+    printf("%d\n", x);
+  }
+  for (int x = 10; x < 12; x++) printf("%d\n", x);
+  printf("%d\n", x);
+  return 0;
+}
+)",
+                               Capabilities{});
+  EXPECT_TRUE(r.ok);
+  EXPECT_EQ(r.stdout_text, "2 1\n3\n6 1\n4\n10\n11\n2\n");
+}
+
+TEST(VmNames, SameScopeRedeclarationReusesTheSlot) {
+  // A second declaration in the same scope overwrites the existing slot
+  // in place, so a reference taken to the first one sees the second.
+  const RunResult r = run_both(R"(
+#include <stdio.h>
+void set(int* p, int v) { *p = v; }
+int main() {
+  int a = 1;
+  int* p = &a;
+  set(&a, 6);
+  int b = a;
+  int a = 2;
+  printf("%d %d %d\n", a, b, *p);
+  *p = 9;
+  printf("%d\n", a);
+  for (int i = 0; i < 3; i++) {
+    int t = i * 10;
+    int t = t + 1;
+    printf("%d\n", t);
+  }
+  return 0;
+}
+)",
+                               Capabilities{});
+  EXPECT_TRUE(r.ok) << r.stderr_text;
+  EXPECT_EQ(r.stdout_text, "2 6 2\n9\n1\n11\n21\n");
+}
+
+TEST(VmNames, VariablesSpelledLikeBuiltins) {
+  // CUDA coordinates resolve before variables; runtime constants after.
+  const RunResult host = run_both(R"(
+#include <stdio.h>
+#undef NULL
+int main() {
+  double M_PI = 3.0;
+  int NULL = 5;
+  int RAND_MAX = 7;
+  printf("%.1f %d %d %d\n", M_PI, NULL, RAND_MAX, EXIT_FAILURE);
+  return 0;
+}
+)",
+                                  Capabilities{});
+  EXPECT_TRUE(host.ok) << host.stderr_text;
+  EXPECT_EQ(host.stdout_text, "3.0 5 7 1\n");
+  const RunResult dev = run_both(R"(
+#include <stdio.h>
+#include <cuda_runtime.h>
+__global__ void k(int* out) {
+  int gridDim = 9;
+  out[blockIdx.x] = blockIdx.x * 10 + gridDim;
+}
+int main() {
+  int* d;
+  int h[2];
+  cudaMalloc(&d, 2 * sizeof(int));
+  k<<<2, 1>>>(d);
+  cudaMemcpy(h, d, 2 * sizeof(int), cudaMemcpyDeviceToHost);
+  printf("%d %d\n", h[0], h[1]);
+  return 0;
+}
+)",
+                                 cuda_caps());
+  EXPECT_TRUE(dev.ok) << dev.stderr_text;
+  EXPECT_EQ(dev.stdout_text, "0 10\n");
+}
+
+TEST(VmNames, LambdaCapturesTheInnermostShadow) {
+  Capabilities caps;
+  caps.kokkos = true;
+  const RunResult r = run_both(R"(
+#include <Kokkos_Core.hpp>
+#include <stdio.h>
+double v = 1.0;
+int i = 100;
+int main() {
+  Kokkos::initialize();
+  {
+    Kokkos::View<double*> out("out", 4);
+    double v = 2.0;
+    {
+      double v = 3.0;
+      Kokkos::parallel_for("fill", 4, KOKKOS_LAMBDA(int i) {
+        out(i) = v * i;
+      });
+    }
+    Kokkos::fence();
+    double total = 0.0;
+    Kokkos::parallel_reduce(4, KOKKOS_LAMBDA(int i, double& v) {
+      v += out(i);
+    }, total);
+    printf("%.1f %.1f\n", total, v);
+  }
+  Kokkos::finalize();
+  return 0;
+}
+)",
+                               caps);
+  EXPECT_TRUE(r.ok) << r.stderr_text;
+  EXPECT_EQ(r.stdout_text, "18.0 2.0\n");
+}
+
+TEST(VmNames, RecursionKeepsFramesApart) {
+  const RunResult r = run_both(R"(
+#include <stdio.h>
+int n = 1000;
+int walk(int n) {
+  int x = n * 2;
+  if (n == 0) return x;
+  { int x = 1; n = n - x; }
+  return walk(n) + x;
+}
+int main() {
+  printf("%d %d\n", walk(6), n);
+  return 0;
+}
+)",
+                               Capabilities{});
+  EXPECT_TRUE(r.ok);
+  EXPECT_EQ(r.stdout_text, "42 1000\n");
+}
+
+TEST(VmNames, OmpTargetRegionShadowsOuterScalar) {
+  const RunResult r = run_both(R"(
+#include <stdio.h>
+#include <omp.h>
+int main() {
+  int n = 8;
+  double s = 1.0;
+  double t = 0.5;
+  double a[8];
+  #pragma omp target map(tofrom: a[0:n])
+  {
+    double s = 2.0;
+    for (int i = 0; i < n; i++) a[i] = s * i;
+  }
+  #pragma omp target map(tofrom: s) map(to: a[0:n])
+  {
+    s = s + a[0] + 4.0;
+    t = 9.0;
+  }
+  printf("%.1f %.1f %.1f\n", s, t, a[7]);
+  return 0;
+}
+)",
+                               omp_caps());
+  EXPECT_TRUE(r.ok) << r.stderr_text;
+  EXPECT_EQ(r.stdout_text, "5.0 0.5 14.0\n");
+}
+
+TEST(VmNames, UndeclaredIdentifierTrap) {
+  // Sema rejects the program, but an engine asked to run it anyway must
+  // trap at the read with the same message and step count.
+  Executable exe = compile_one(R"(
+int main() {
+  int y = 1;
+  y = y + zz;
+  return y;
+}
+)",
+                               Capabilities{});
+  ASSERT_FALSE(exe.ok());
+  const RunResult interp = run_engine(exe, EngineKind::Interp);
+  const RunResult vm = run_engine(exe, EngineKind::Vm);
+  EXPECT_EQ(fingerprint(interp), fingerprint(vm));
+  EXPECT_FALSE(interp.ok);
+  EXPECT_NE(interp.stderr_text.find("use of undeclared identifier 'zz'"),
+            std::string::npos)
+      << interp.stderr_text;
+  EXPECT_EQ(interp.stats.steps, 9);
+}
+
+// ------------------------------------------------ symbol interner ----
+//
+// Names are interned at sema and decode time only; the interner is
+// process-wide and never evicts, so it must stop growing once the inputs
+// repeat, and concurrent compiles must agree on every symbol.
+
+TEST(VmInterner, RunningInternsNothing) {
+  std::vector<std::pair<const pa::AppSpec*, bs::BuildResult>> builds;
+  for (const AppModelCase& c : shipped_cases()) {
+    builds.emplace_back(c.app, bs::build_repo(c.app->repos.at(c.model)));
+    ASSERT_TRUE(builds.back().second.ok) << builds.back().second.log;
+  }
+  const std::size_t before = interned_symbols();
+  for (const auto& [app, build] : builds) {
+    for (const auto& tc : app->tests) {
+      for (const EngineKind kind : {EngineKind::Interp, EngineKind::Vm}) {
+        run_engine(*build.exe, kind, tc.args);
+      }
+    }
+  }
+  EXPECT_EQ(interned_symbols(), before);
+}
+
+TEST(VmInterner, RecompilingAndRegeneratingAddNoSymbols) {
+  auto build_all = [] {
+    for (const AppModelCase& c : shipped_cases()) {
+      EXPECT_TRUE(bs::build_repo(c.app->repos.at(c.model)).ok);
+    }
+  };
+  build_all();
+  const std::size_t compiled = interned_symbols();
+  EXPECT_GT(compiled, std::size_t{pareval::minic::kNumReservedSyms});
+  build_all();
+  EXPECT_EQ(interned_symbols(), compiled);
+
+  // Generating translations never compiles: a second seed's pass over
+  // every paper-spec cell adds nothing either.
+  const auto& suite = pe::Suite::paper();
+  const auto cells = pe::sweep_cells(suite, pe::SweepSpec::paper());
+  ASSERT_FALSE(cells.empty());
+  auto generate_all = [&](std::uint64_t seed) {
+    constexpr int kSamples = 2;
+    pareval::support::parallel_for(
+        0, cells.size() * kSamples, [&](std::size_t k) {
+          const auto& cell = cells[k / kSamples];
+          pareval::support::Rng rng(
+              seed ^ pareval::support::stable_hash(
+                         cell.profile->name + "|" + cell.app->name + "#" +
+                         std::to_string(k)));
+          pareval::agents::run_technique(*cell.app, cell.technique,
+                                         *cell.profile, cell.pair, rng);
+        });
+  };
+  generate_all(1070);
+  const std::size_t generated = interned_symbols();
+  generate_all(2024);
+  EXPECT_EQ(interned_symbols(), generated);
+}
+
+TEST(VmInterner, ConcurrentCompilesAgreeOnEverySymbol) {
+  // 32 compiles race to intern 48 fresh spellings, each source declaring
+  // an overlapping window of 16 of them.
+  constexpr int kTasks = 32;
+  constexpr int kNames = 48;
+  constexpr int kWindow = 16;
+  auto name_of = [](int n) { return "interner_race_v" + std::to_string(n); };
+  using Seen = std::vector<std::pair<std::string, pareval::minic::Sym>>;
+  std::vector<Seen> seen(kTasks);
+  {
+    pareval::support::ThreadPool pool(kTasks);
+    std::vector<std::future<void>> done;
+    for (int t = 0; t < kTasks; ++t) {
+      done.push_back(pool.submit([&, t] {
+        std::string src = "int main() {\n";
+        for (int j = 0; j < kWindow; ++j) {
+          src += "  int " + name_of((t + 3 * j) % kNames) + " = " +
+                 std::to_string(j) + ";\n";
+        }
+        src += "  return 0;\n}\n";
+        const Executable exe = compile_one(src, Capabilities{});
+        const auto& body = *exe.program.functions.at("main")->body;
+        for (const auto& stmt : body.body) {
+          for (const auto& d : stmt->decls) seen[t].emplace_back(d.name, d.sym);
+        }
+      }));
+    }
+    for (auto& f : done) pool.await(f);
+  }
+  std::map<std::string, pareval::minic::Sym> agreed;
+  std::map<pareval::minic::Sym, std::string> spelled;
+  for (const Seen& s : seen) {
+    ASSERT_EQ(s.size(), std::size_t{kWindow});
+    for (const auto& [name, sym] : s) {
+      EXPECT_NE(sym, pareval::minic::kNoSym) << name;
+      const auto [it, fresh] = agreed.emplace(name, sym);
+      EXPECT_EQ(it->second, sym) << name;
+      const auto [jt, fresh_sym] = spelled.emplace(sym, name);
+      EXPECT_EQ(jt->second, name) << sym;
+    }
+  }
+  EXPECT_EQ(agreed.size(), std::size_t{kNames});
+  for (const auto& [name, sym] : agreed) {
+    EXPECT_EQ(pareval::minic::intern(name), sym) << name;
+  }
 }
 
 // ------------------------------------------------ harness invariance ----
