@@ -106,7 +106,24 @@ int main() {
               eval::spec_file_text(spec).c_str());
 
   // --- 3. run + report ---------------------------------------------------
+  // A custom suite persists its cache under its *own* scoring-pipeline
+  // hash, so a store written here can never warm-start a sweep of a
+  // different suite (and vice versa) — version-level invalidation on top
+  // of the per-entry keys. A rerun in the same directory warm-starts.
+  const std::uint64_t version = eval::scoring_pipeline_hash(suite);
+  std::printf("suite pipeline hash %s (paper: %s)\n",
+              support::u64_to_hex(version).c_str(),
+              support::u64_to_hex(eval::scoring_pipeline_hash()).c_str());
+  cache::Store store("custom_suite_store");
+  if (!store.open()) {
+    std::fprintf(stderr, "cannot create custom_suite_store\n");
+    return 1;
+  }
   eval::ScoreCache cache;  // injected, not the process-wide global
+  const bool warm = cache.attach(store, version);
+  std::printf("score cache: %s (%zu entries)\n",
+              warm ? "warm-started from custom_suite_store" : "cold start",
+              cache.size());
   eval::HarnessConfig config;
   config.score_cache = &cache;
   const auto tasks = eval::run_sweep(suite, spec, config);
@@ -121,17 +138,7 @@ int main() {
               "layer %zu hits / %zu misses\n",
               cache.hits(), cache.misses(), cache.builds().hits(),
               cache.builds().misses());
-
-  // A custom suite persists its cache under its *own* scoring-pipeline
-  // hash, so a file produced here can never warm-start a sweep of a
-  // different suite (and vice versa) — version-level invalidation on top
-  // of the per-entry keys.
-  const std::uint64_t version = eval::scoring_pipeline_hash(suite);
-  std::printf("suite pipeline hash %s (paper: %s)\n",
-              support::u64_to_hex(version).c_str(),
-              support::u64_to_hex(eval::scoring_pipeline_hash()).c_str());
-  if (cache.save("custom_suite_cache.json", version)) {
-    std::printf("persisted the suite's cache to custom_suite_cache.json\n");
-  }
+  std::printf("persisted %zu new score records to custom_suite_store\n",
+              cache.flush());
   return 0;
 }

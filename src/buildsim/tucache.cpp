@@ -161,8 +161,8 @@ struct TuCompileCache::Impl {
 
   struct Entry {
     std::shared_ptr<const Manifest> manifest;
-    /// The live value. nullptr for an outcome-only entry loaded from a
-    /// persisted file: its diags/system_headers below are the payload, and
+    /// The live value. nullptr for an outcome-only entry replayed from a
+    /// store: its diags/system_headers below are the payload, and
     /// a failed one reconstructs a TU on demand (a successful one cannot —
     /// the AST is not persisted — so its compile re-runs and upgrades it).
     std::shared_ptr<TranslationUnit> tu;
@@ -171,11 +171,9 @@ struct TuCompileCache::Impl {
     std::vector<std::string> system_headers;
     /// Serialized post-sema TU (minic::encode_tu) for a successful
     /// compile — empty until flush() encodes the live TU, or filled by
-    /// replaying an "obj1" record. Never part of the legacy single-file
-    /// format.
+    /// replaying an "obj1" record.
     std::string obj;
     std::uint64_t last_used = 0;
-    bool fresh = false;  // added by a compile here (not merged via load)
     bool published = false;  // already in the attached store's journal
     bool obj_published = false;  // obj payload already in the "obj1" stream
   };
@@ -194,7 +192,6 @@ struct TuCompileCache::Impl {
     DiagBag diags;
     std::vector<std::uint64_t> tus;  // compile-plan digest, command order
     std::uint64_t last_used = 0;
-    bool fresh = false;
     bool published = false;
   };
 
@@ -265,8 +262,7 @@ struct TuCompileCache::Impl {
     return support::stable_hash(manifest_order(manifest));
   }
 
-  /// The TU layer's record codec, shared by the legacy single-file
-  /// format and the journaled store. `order_out` (optional) receives the
+  /// The TU layer's "tu" record codec. `order_out` (optional) receives the
   /// manifest tiebreaker string used to sort entries sharing a key.
   static Json entry_json(std::uint64_t key, const Entry& entry,
                          std::string* order_out) {
@@ -374,7 +370,6 @@ struct TuCompileCache::Impl {
   /// for the same (key, manifest) wins — compiles are pure, so it holds
   /// the same outcome (and possibly a live TU).
   void insert_loaded_entry(std::uint64_t key, Entry entry, bool published) {
-    entry.fresh = false;
     entry.published = published;
     entry.last_used = tick();
     Shard& shard = shards[key % kShards];
@@ -389,7 +384,6 @@ struct TuCompileCache::Impl {
   }
 
   void insert_loaded_plan(std::uint64_t key, Plan plan, bool published) {
-    plan.fresh = false;
     plan.published = published;
     plan.last_used = tick();
     std::lock_guard<std::mutex> lock(plans_mu);
@@ -565,9 +559,8 @@ std::shared_ptr<TranslationUnit> TuCompileCache::compile(
   for (Impl::Entry& existing : group) {
     if (*existing.manifest == *manifest) {
       // Same manifest (racing compile, or the upgrade of an outcome-only
-      // entry): install the live TU, keep the entry's provenance flag —
-      // a loaded entry's outcome is already persisted, so it is not part
-      // of this run's delta.
+      // entry): install the live TU, keep the entry's published flag — a
+      // replayed entry's outcome is already in the store.
       existing.tu = tu;
       existing.last_used = impl_->tick();
       return tu;
@@ -576,7 +569,6 @@ std::shared_ptr<TranslationUnit> TuCompileCache::compile(
   Impl::Entry entry;
   entry.manifest = std::move(manifest);
   entry.tu = tu;
-  entry.fresh = true;
   entry.last_used = impl_->tick();
   group.push_back(std::move(entry));
   ++shard.count;
@@ -618,7 +610,7 @@ void TuCompileCache::record_plan(std::uint64_t plan_key,
   const auto it = impl_->plans.find(plan_key);
   if (it != impl_->plans.end()) {
     // Builds are pure: a re-recorded plan is identical, so keep the
-    // existing entry (and its delta provenance) and just refresh it.
+    // existing entry (and its published flag) and just refresh it.
     it->second.last_used = impl_->tick();
     return;
   }
@@ -629,7 +621,6 @@ void TuCompileCache::record_plan(std::uint64_t plan_key,
   plan.log = result.log;
   plan.diags = result.diags;
   plan.tus = std::move(tu_keys);
-  plan.fresh = true;
   plan.last_used = impl_->tick();
   impl_->plans.emplace(plan_key, std::move(plan));
   impl_->bound_plans_locked();
@@ -705,90 +696,6 @@ bool TuCompileCache::object_layer() const noexcept {
 
 // --- persistence ------------------------------------------------------------
 
-namespace {
-
-constexpr const char* kTuCacheFormat = "pareval-tu-cache-v1";
-
-}  // namespace
-
-bool TuCompileCache::save(const std::string& path,
-                          std::uint64_t version) const {
-  return save_impl(path, version, /*fresh_only=*/false, nullptr);
-}
-
-bool TuCompileCache::save_delta(const std::string& path,
-                                std::uint64_t version,
-                                std::size_t* entries_written) const {
-  return save_impl(path, version, true, entries_written);
-}
-
-bool TuCompileCache::save_impl(const std::string& path,
-                               std::uint64_t version, bool fresh_only,
-                               std::size_t* entries_written) const {
-  struct Flat {
-    std::uint64_t key = 0;
-    std::string order;  // manifest tiebreaker for entries sharing a key
-    Json json;
-  };
-  std::vector<Flat> tus;
-  for (const auto& shard : impl_->shards) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    for (const auto& [key, group] : shard.groups) {
-      for (const Impl::Entry& entry : group) {
-        if (fresh_only && !entry.fresh) continue;
-        std::string order;
-        Json j = Impl::entry_json(key, entry, &order);
-        tus.push_back({key, std::move(order), std::move(j)});
-      }
-    }
-  }
-  std::sort(tus.begin(), tus.end(), [](const Flat& a, const Flat& b) {
-    return a.key != b.key ? a.key < b.key : a.order < b.order;
-  });
-
-  std::vector<std::pair<std::uint64_t, Json>> plans;
-  {
-    std::lock_guard<std::mutex> lock(impl_->plans_mu);
-    for (const auto& [key, plan] : impl_->plans) {
-      if (fresh_only && !plan.fresh) continue;
-      plans.emplace_back(key, Impl::plan_json(key, plan));
-    }
-  }
-  std::sort(plans.begin(), plans.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-
-  if (entries_written != nullptr) {
-    *entries_written = tus.size() + plans.size();
-  }
-
-  Json tus_json = Json::array();
-  for (auto& f : tus) tus_json.push_back(std::move(f.json));
-  Json plans_json = Json::array();
-  for (auto& [key, j] : plans) plans_json.push_back(std::move(j));
-  return cache::write_versioned_file(path, kTuCacheFormat, version,
-                                     {{"tus", std::move(tus_json)},
-                                      {"plans", std::move(plans_json)}});
-}
-
-bool TuCompileCache::load(const std::string& path, std::uint64_t version) {
-  const auto root =
-      cache::read_versioned_file(path, kTuCacheFormat, version);
-  if (!root) return false;
-  for (const Json& j : (*root)["tus"].items()) {
-    std::uint64_t key = 0;
-    Impl::Entry entry;
-    if (!Impl::parse_entry(j, &key, &entry)) continue;
-    impl_->insert_loaded_entry(key, std::move(entry), /*published=*/true);
-  }
-  for (const Json& j : (*root)["plans"].items()) {
-    std::uint64_t key = 0;
-    Impl::Plan plan;
-    if (!Impl::parse_plan(j, &key, &plan)) continue;
-    impl_->insert_loaded_plan(key, std::move(plan), /*published=*/true);
-  }
-  return true;
-}
-
 bool TuCompileCache::load_records(cache::Store& store,
                                   std::uint64_t version, bool published) {
   const bool tu_ok =
@@ -850,10 +757,10 @@ bool TuCompileCache::import_store(cache::Store& store,
 std::size_t TuCompileCache::flush() {
   Impl& impl = *impl_;
   if (impl.store == nullptr) return 0;
-  // Everything the attached store has not seen, in the same deterministic
-  // order the single-file format uses. The manifest pointer identifies
-  // each entry again after the append (entries are never mutated in
-  // place, only evicted).
+  // Everything the attached store has not seen, in a deterministic order
+  // (key, then manifest). The manifest pointer identifies each entry
+  // again after the append (entries are never mutated in place, only
+  // evicted).
   struct Pending {
     std::uint64_t key = 0;
     std::string order;

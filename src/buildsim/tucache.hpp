@@ -15,19 +15,18 @@
 // invalidates exactly the TUs that include it; creating a file a quoted
 // include previously fell past invalidates exactly the TUs that probed it.
 //
-// The cache is also persistable ("pareval-tu-cache-v1", via support/json):
-// TU *outcomes* (diagnostics, system headers, dependency manifest — not the
-// AST, which is a live program) plus a per-build compile-plan digest keyed
-// by (repo content, make target). A failed build carries no executable, so
-// its outcome is fully serializable: on a warm file start, build_repo
-// reconstructs the whole failed BuildResult from the persisted plan without
-// compiling anything, and failed-TU entries reconstruct their
-// TranslationUnit from diagnostics alone.
+// The cache persists through a journaled cache::Store ("tu" and "tuplan"
+// streams): TU *outcomes* (diagnostics, system headers, dependency
+// manifest — not the AST, which is a live program) plus a per-build
+// compile-plan digest keyed by (repo content, make target). A failed build
+// carries no executable, so its outcome is fully serializable: on a warm
+// store start, build_repo reconstructs the whole failed BuildResult from
+// the persisted plan without compiling anything, and failed-TU entries
+// reconstruct their TranslationUnit from diagnostics alone.
 //
 // Successful compiles additionally persist a *warm object* — the full
-// post-sema AST, serialized by minic/objcodec — in the journaled store's
-// "obj1" stream (never in the legacy single file, whose byte format is
-// frozen). On a warm store start a successful entry deserializes its
+// post-sema AST, serialized by minic/objcodec — in the store's "obj1"
+// stream. On a warm store start a successful entry deserializes its
 // object instead of re-running the preprocessor/parser/sema, revalidated
 // by the same dependency manifest; a corrupt or version-bumped payload is
 // a clean miss that just recompiles.
@@ -102,7 +101,7 @@ class TuCompileCache {
   /// AST (functions/globals are empty); downstream BuildResults are
   /// bit-identical because a failed TU always stops the build before
   /// link. Callers inspecting the AST of failed TUs should not rely on
-  /// it surviving a warm file start.
+  /// it surviving a warm store start.
   ///
   /// `obj_key_out` (optional) receives the TU's *content* key — the
   /// primary key folded with the validated dependency manifest's digest,
@@ -161,28 +160,14 @@ class TuCompileCache {
   void set_object_layer(bool on) noexcept;
   bool object_layer() const noexcept;
 
-  /// Persist every TU outcome + plan digest as "pareval-tu-cache-v1",
-  /// tagged with `version` (pass the suite's scoring_pipeline_hash, like
-  /// ScoreCache). Atomic temp-file + rename, same as ScoreCache::save.
-  bool save(const std::string& path, std::uint64_t version) const;
-  /// Like save, but only entries/plans this cache added since it was
-  /// constructed or loaded — the worker-side delta for the fan-in job.
-  bool save_delta(const std::string& path, std::uint64_t version,
-                  std::size_t* entries_written = nullptr) const;
-  /// Merge a previously saved file (or delta). Returns false — loading
-  /// nothing — on a missing/malformed file, an unknown format tag, or a
-  /// `version` mismatch (stale cache written by a different pipeline).
-  bool load(const std::string& path, std::uint64_t version);
-
   /// Journaled-store streams: TU outcomes and plan digests live in
-  /// separate streams so both keep their legacy per-record JSON shape
-  /// (no discriminator field, so the single-file format stays
-  /// byte-identical).
+  /// separate streams, so neither record shape needs a discriminator
+  /// field.
   static constexpr const char* kTuStream = "tu";
   static constexpr const char* kPlanStream = "tuplan";
   /// Warm objects: serialized post-sema TUs for successful compiles,
   /// keyed by (primary key, manifest digest). A third stream so the
-  /// legacy "tu"/"tuplan" record shapes stay byte-identical; written
+  /// "tu"/"tuplan" record shapes stay byte-identical; written
   /// under minic::obj_stream_version(version), so a codec format bump
   /// cold-starts exactly this stream.
   static constexpr const char* kObjStream = "obj1";
@@ -210,8 +195,6 @@ class TuCompileCache {
  private:
   struct Impl;
 
-  bool save_impl(const std::string& path, std::uint64_t version,
-                 bool fresh_only, std::size_t* entries_written) const;
   bool load_records(cache::Store& store, std::uint64_t version,
                     bool published);
 

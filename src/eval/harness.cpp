@@ -137,7 +137,7 @@ StagedScore ScoreCache::score(const AppSpec& app, const vfs::Repo& repo,
   pipeline.set_engine(engine);
   StagedScore result = pipeline.score(app, repo, target);
   misses_.fetch_add(1, std::memory_order_relaxed);
-  insert_entry(key, result, /*fresh=*/true, /*published=*/false);
+  insert_entry(key, result, /*published=*/false);
   return result;
 }
 
@@ -147,8 +147,7 @@ std::size_t ScoreCache::shard_capacity() const noexcept {
 }
 
 void ScoreCache::insert_entry(std::uint64_t key, StagedScore result,
-                              bool fresh, bool published,
-                              bool keep_existing) {
+                              bool published, bool keep_existing) {
   Shard& shard = shards_[key % kShards];
   const std::uint64_t now =
       clock_.fetch_add(1, std::memory_order_relaxed) + 1;
@@ -159,7 +158,7 @@ void ScoreCache::insert_entry(std::uint64_t key, StagedScore result,
     // are identical and only the publish-pending flag differs.
     return;
   }
-  shard.entries[key] = Entry{std::move(result), now, fresh, published};
+  shard.entries[key] = Entry{std::move(result), now, published};
   detail::evict_lru_to_bound(shard.entries, shard_capacity());
 }
 
@@ -194,27 +193,10 @@ void ScoreCache::clear() {
   misses_.store(0);
 }
 
-bool ScoreCache::save(const std::string& path,
-                      std::uint64_t version) const {
-  return save_entries(path, version, /*fresh_only=*/false);
-}
-
-bool ScoreCache::save_delta(const std::string& path, std::uint64_t version,
-                            std::size_t* entries_written) const {
-  return save_entries(path, version, /*fresh_only=*/true, entries_written);
-}
-
 namespace {
 
-// v2: entries carry staged outcomes instead of one flat log. The format
-// tag is bumped so a restored v1 file cold-starts instead of loading
-// entries with missing provenance (which would break the cold-vs-warm
-// bit-identity guarantee).
-constexpr const char* kScoreCacheFormat = "pareval-score-cache-v2";
-
-/// The score layer's record codec, shared by the legacy whole-file
-/// format and the journaled store: one StagedScore entry, key last (the
-/// v2 field order, so files round-trip byte-identically).
+/// The score layer's record codec: one StagedScore entry, key last. The
+/// field order is pinned so a stream's bytes are stable across versions.
 Json score_record(std::uint64_t key, const StagedScore& result) {
   Json e = to_json(result);
   e.set("key", support::u64_to_hex(key));
@@ -229,43 +211,6 @@ bool parse_score_record(const Json& e, std::uint64_t* key,
 
 }  // namespace
 
-bool ScoreCache::save_entries(const std::string& path,
-                              std::uint64_t version, bool fresh_only,
-                              std::size_t* entries_written) const {
-  // Deterministic file: entries sorted by key, version first.
-  std::vector<std::pair<std::uint64_t, Entry>> all;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    for (const auto& [key, entry] : shard.entries) {
-      if (fresh_only && !entry.fresh) continue;
-      all.emplace_back(key, entry);
-    }
-  }
-  std::sort(all.begin(), all.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  if (entries_written != nullptr) *entries_written = all.size();
-
-  Json entries = Json::array();
-  for (const auto& [key, entry] : all) {
-    entries.push_back(score_record(key, entry.result));
-  }
-  return cache::write_versioned_file(path, kScoreCacheFormat, version,
-                                     {{"entries", std::move(entries)}});
-}
-
-bool ScoreCache::load(const std::string& path, std::uint64_t version) {
-  const auto root =
-      cache::read_versioned_file(path, kScoreCacheFormat, version);
-  if (!root) return false;
-  for (const Json& e : (*root)["entries"].items()) {
-    std::uint64_t key = 0;
-    StagedScore r;
-    if (!parse_score_record(e, &key, &r)) continue;
-    insert_entry(key, std::move(r), /*fresh=*/false, /*published=*/true);
-  }
-  return true;
-}
-
 bool ScoreCache::load_records(cache::Store& store, std::uint64_t version,
                               bool published) {
   return store.replay(kStream, version, [this, published](const Json& e) {
@@ -275,8 +220,7 @@ bool ScoreCache::load_records(cache::Store& store, std::uint64_t version,
     // Journal replay never clobbers what is already here: records are
     // append-only, so a later duplicate (another worker scoring the same
     // key) carries the identical pure score.
-    insert_entry(key, std::move(r), /*fresh=*/false, published,
-                 /*keep_existing=*/true);
+    insert_entry(key, std::move(r), published, /*keep_existing=*/true);
   });
 }
 

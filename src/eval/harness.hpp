@@ -146,9 +146,9 @@ ScoreResult score_repo(const apps::AppSpec& app, const vfs::Repo& repo,
 /// (app repos, ground-truth builds, test cases, tolerances) in suite
 /// registration order. A persisted ScoreCache whose version differs is
 /// stale — the scores it memoizes were produced by a different pipeline —
-/// and ScoreCache::load discards it. Custom suites get version-level
-/// invalidation of their own scoring inputs by persisting caches under
-/// scoring_pipeline_hash(suite) instead of the paper default.
+/// and ScoreCache::attach replays nothing from it. Custom suites get
+/// version-level invalidation of their own scoring inputs by attaching
+/// stores under scoring_pipeline_hash(suite) instead of the paper default.
 std::uint64_t scoring_pipeline_hash(const Suite& suite);
 
 /// The paper overload: folds apps::all_apps() (== Suite::paper()'s apps).
@@ -176,18 +176,15 @@ std::uint64_t scoring_pipeline_hash();
 /// build-failure defect class) share every TU compile; tus().misses()
 /// counts TU compiles actually performed.
 ///
-/// The score and TU layers are persistent, both through one uniform
-/// surface over the journaled cache::Store — attach() warm-replays the
-/// layer's record stream and binds the store, flush() appends what this
-/// process computed since (one locked batch; N workers sharing one store
-/// directory need no merge step), import_store() folds another store's
-/// records in for fan-in replay — and through the legacy whole-file
-/// formats: save()/load() serialize the score layer, tus().save()/load()
-/// the TU outcomes + build-plan digests, both as JSON versioned by a
-/// scoring-pipeline hash. Either way, figure regeneration after a
-/// code-only change warm-starts from the previous run's scores and a warm
-/// start skips Build-stage compile work too (the build-artifact layer
-/// holds live executables and stays process-local). Size is bounded: each
+/// The score and TU layers persist through one uniform surface over the
+/// journaled cache::Store, versioned by a scoring-pipeline hash: attach()
+/// warm-replays the layer's record stream and binds the store, flush()
+/// appends what this process computed since (one locked batch; N workers
+/// sharing one store directory need no merge step), and import_store()
+/// folds another store's records in for fan-in replay. Figure
+/// regeneration after a code-only change warm-starts from the previous
+/// run's scores and a warm start skips Build-stage compile work too (the
+/// build-artifact layer holds live executables and stays process-local). Size is bounded: each
 /// shard holds at most capacity/kShards entries and evicts its
 /// least-recently-used entry on overflow.
 class ScoreCache {
@@ -211,8 +208,8 @@ class ScoreCache {
   BuildArtifactCache& builds() noexcept { return builds_; }
   const BuildArtifactCache& builds() const noexcept { return builds_; }
 
-  /// The lower (TU compile) layer: per-layer stats, capacity, and its own
-  /// save/load (file format "pareval-tu-cache-v1").
+  /// The lower (TU compile) layer: per-layer stats and capacity. It
+  /// shares this cache's attach/flush lifecycle.
   buildsim::TuCompileCache& tus() noexcept { return tus_; }
   const buildsim::TuCompileCache& tus() const noexcept { return tus_; }
 
@@ -279,31 +276,6 @@ class ScoreCache {
   /// entries) — the "score" block of CACHE_stats.json.
   support::Json stats() const;
 
-  /// Write every score-layer entry to `path` as JSON, tagged with
-  /// `version` (default: the paper scoring-pipeline hash; pass
-  /// scoring_pipeline_hash(suite) when the cache serves a custom suite).
-  /// Atomic: the file is written to a temp name in the same directory and
-  /// rename()d into place, so concurrent workers sharing one cache path
-  /// never observe a torn file. Returns false on I/O failure.
-  bool save(const std::string& path,
-            std::uint64_t version = scoring_pipeline_hash()) const;
-  /// Like save, but writes only the entries this cache *added* since it
-  /// was constructed or loaded (cache misses scored here, not entries
-  /// merged in via load) — the shard-level cache delta a sweep_worker
-  /// ships alongside its shard file for the fan-in job to fold into a
-  /// published cache (sweep_merge --merge-cache). `entries_written`
-  /// (optional) receives the delta's actual entry count, which can trail
-  /// misses() under racing duplicate scores or LRU eviction.
-  bool save_delta(const std::string& path,
-                  std::uint64_t version = scoring_pipeline_hash(),
-                  std::size_t* entries_written = nullptr) const;
-  /// Merge the entries of a previously saved file (or delta) into this
-  /// cache. Returns false — loading nothing — when the file is missing,
-  /// does not parse, uses an older cache format, or was written under a
-  /// different `version` (stale cache).
-  bool load(const std::string& path,
-            std::uint64_t version = scoring_pipeline_hash());
-
   /// Process-wide instance used by run_task when use_score_cache is set.
   static ScoreCache& global();
 
@@ -312,7 +284,6 @@ class ScoreCache {
   struct Entry {
     StagedScore result;
     std::uint64_t last_used = 0;
-    bool fresh = false;      // added by scoring here (not merged via load)
     bool published = false;  // already present in the attached store
   };
   struct Shard {
@@ -321,13 +292,10 @@ class ScoreCache {
   };
 
   std::size_t shard_capacity() const noexcept;
-  void insert_entry(std::uint64_t key, StagedScore result, bool fresh,
-                    bool published, bool keep_existing = false);
+  void insert_entry(std::uint64_t key, StagedScore result, bool published,
+                    bool keep_existing = false);
   bool load_records(cache::Store& store, std::uint64_t version,
                     bool published);
-  bool save_entries(const std::string& path, std::uint64_t version,
-                    bool fresh_only,
-                    std::size_t* entries_written = nullptr) const;
 
   cache::Store* store_ = nullptr;
   std::uint64_t store_version_ = 0;

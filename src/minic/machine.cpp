@@ -634,7 +634,7 @@ Value Machine::incdec_apply(const LValue& lv, long long delta, bool postfix,
   } else if (cur.kind == Value::Kind::Real) {
     next = Value::make_real(cur.d + static_cast<double>(delta));
   } else {
-    next = Value::make_int(cur.as_int() + delta);
+    next = Value::make_int(int_binop(BinOp::Add, cur.as_int(), delta, line));
   }
   lv_store(lv, next, line);
   return postfix ? cur : next;
@@ -674,7 +674,7 @@ Value Machine::eval_unary(const Expr& e) {
   const Value v = eval(*e.kids[0]);
   if (op == "-") {
     if (v.kind == Value::Kind::Real) return Value::make_real(-v.d);
-    return Value::make_int(-v.as_int());
+    return Value::make_int(int_binop(BinOp::Sub, 0, v.as_int(), e.line));
   }
   if (op == "!") return Value::make_int(v.truthy() ? 0 : 1);
   if (op == "~") return Value::make_int(~v.as_int());
@@ -761,31 +761,7 @@ void Machine::apply_binop(Value& out, BinOp op, const Value& a,
              line);
     }
   }
-  const long long x = a.as_int(), y = b.as_int();
-  // Wrapping two's-complement arithmetic (the RNG streams rely on it).
-  const auto ux = static_cast<unsigned long long>(x);
-  const auto uy = static_cast<unsigned long long>(y);
-  switch (op) {
-    case BinOp::Add: out.set_int(static_cast<long long>(ux + uy)); return;
-    case BinOp::Sub: out.set_int(static_cast<long long>(ux - uy)); return;
-    case BinOp::Mul: out.set_int(static_cast<long long>(ux * uy)); return;
-    case BinOp::Div:
-    case BinOp::Mod:
-      if (y == 0) {
-        trap(DiagCategory::RuntimeFault, "integer division by zero", line);
-      }
-      out.set_int(op == BinOp::Div ? x / y : x % y);
-      return;
-    case BinOp::Shl: out.set_int(x << (y & 63)); return;
-    case BinOp::Shr: out.set_int(x >> (y & 63)); return;
-    case BinOp::BAnd: out.set_int(x & y); return;
-    case BinOp::BOr: out.set_int(x | y); return;
-    case BinOp::BXor: out.set_int(x ^ y); return;
-    default:
-      trap(DiagCategory::RuntimeFault,
-           "unsupported binary operator " + std::string(binop_text(op)),
-           line);
-  }
+  out.set_int(int_binop(op, a.as_int(), b.as_int(), line));
 }
 
 Value Machine::apply_ptr_binop(BinOp op, const Value& a, const Value& b,
@@ -855,34 +831,7 @@ Value Machine::compound_combine(BinOp op, const Value& cur, const Value& rhs,
     }
     return Value::make_real(r);
   }
-  // Compound integer arithmetic is signed (unlike apply_binop's wrapping
-  // unsigned + - *); this mirrors the original interpreter exactly.
-  const long long x = cur.as_int(), y = rhs.as_int();
-  long long r = 0;
-  switch (op) {
-    case BinOp::Add: r = x + y; break;
-    case BinOp::Sub: r = x - y; break;
-    case BinOp::Mul: r = x * y; break;
-    case BinOp::Div:
-      if (y == 0) {
-        trap(DiagCategory::RuntimeFault, "integer division by zero", line);
-      }
-      r = x / y;
-      break;
-    case BinOp::Mod:
-      if (y == 0) {
-        trap(DiagCategory::RuntimeFault, "integer division by zero", line);
-      }
-      r = x % y;
-      break;
-    case BinOp::BAnd: r = x & y; break;
-    case BinOp::BOr: r = x | y; break;
-    case BinOp::BXor: r = x ^ y; break;
-    case BinOp::Shl: r = x << (y & 63); break;
-    case BinOp::Shr: r = x >> (y & 63); break;
-    default: break;  // comparisons never appear in compound form
-  }
-  return Value::make_int(r);
+  return Value::make_int(int_binop(op, cur.as_int(), rhs.as_int(), line));
 }
 
 Value Machine::eval_assign(const Expr& e) {

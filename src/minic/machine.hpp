@@ -14,6 +14,7 @@
 // compiler); tools and the eval harness program against minic/engine.hpp.
 
 #include <deque>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -232,13 +233,18 @@ class Machine : public InterpCtx {
   Value eval_member_body(const Expr& e);
 
   /// The shared arithmetic core. apply_binop mirrors eval_binary after
-  /// operand evaluation (pointer dispatch, real/int split, *wrapping
-  /// unsigned* int + - *); compound_combine mirrors compound assignment
-  /// (which uses *signed* + - *). Distinct on purpose — see eval_assign.
-  /// apply_binop writes its result into `out`, which may alias `a` or `b`
-  /// (a VM register), so a numeric result builds no temporary Value.
+  /// operand evaluation (pointer dispatch, real/int split);
+  /// compound_combine mirrors compound assignment (pointer dispatch on
+  /// the target, no double `%`). Both evaluate integers through
+  /// int_binop. apply_binop writes its result into `out`, which may alias
+  /// `a` or `b` (a VM register), so a numeric result builds no temporary
+  /// Value.
   void apply_binop(Value& out, BinOp op, const Value& a, const Value& b,
                    int line);
+  /// Every integer operator of both engines, unary minus (0 - x) and
+  /// ++/-- included: wrapping two's-complement + - *, and / % trapping on
+  /// a zero divisor and on LLONG_MIN / -1 (whose quotient does not fit).
+  long long int_binop(BinOp op, long long x, long long y, int line);
   Value apply_ptr_binop(BinOp op, const Value& a, const Value& b, int line);
   Value compound_combine(BinOp op, const Value& cur, const Value& rhs,
                          int line);
@@ -340,5 +346,41 @@ class Machine : public InterpCtx {
   double sim_time_seconds() override;
   long long& rand_state() override;
 };
+
+// Defined here and forced inline: it sits on both engines' hot operator
+// dispatch, which GCC would otherwise route through an out-of-line call.
+[[gnu::always_inline]] inline long long Machine::int_binop(BinOp op,
+                                                           long long x,
+                                                           long long y,
+                                                           int line) {
+  // Wrapping two's-complement arithmetic (the RNG streams rely on it).
+  const auto ux = static_cast<unsigned long long>(x);
+  const auto uy = static_cast<unsigned long long>(y);
+  switch (op) {
+    case BinOp::Add: return static_cast<long long>(ux + uy);
+    case BinOp::Sub: return static_cast<long long>(ux - uy);
+    case BinOp::Mul: return static_cast<long long>(ux * uy);
+    case BinOp::Div:
+    case BinOp::Mod:
+      if (y == 0) {
+        trap(DiagCategory::RuntimeFault, "integer division by zero", line);
+      }
+      if (y == -1 && x == std::numeric_limits<long long>::min()) {
+        // The one quotient that does not fit: the host would raise
+        // SIGFPE, so the program traps like a zero divisor instead.
+        trap(DiagCategory::RuntimeFault, "integer division overflow", line);
+      }
+      return op == BinOp::Div ? x / y : x % y;
+    case BinOp::Shl: return x << (y & 63);
+    case BinOp::Shr: return x >> (y & 63);
+    case BinOp::BAnd: return x & y;
+    case BinOp::BOr: return x | y;
+    case BinOp::BXor: return x ^ y;
+    default:
+      trap(DiagCategory::RuntimeFault,
+           "unsupported binary operator " + std::string(binop_text(op)),
+           line);
+  }
+}
 
 }  // namespace pareval::minic

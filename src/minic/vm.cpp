@@ -308,7 +308,8 @@ Value Machine::execute(const Chunk& ch) {
         const Value& v = regs[I.b];
         regs[I.a] = v.kind == Value::Kind::Real
                         ? Value::make_real(-v.d)
-                        : Value::make_int(-v.as_int());
+                        : Value::make_int(
+                              int_binop(BinOp::Sub, 0, v.as_int(), I.line));
         VM_NEXT();
       }
 

@@ -182,8 +182,7 @@ bool Store::append_batch(const std::string& stream, std::uint64_t version,
   auto index = read_index(stream, &version);
   if (!index) {
     // Absent, malformed, or written under a different pipeline version:
-    // start the stream over — the journal equivalent of save()
-    // overwriting a stale whole-file cache.
+    // start the stream over.
     if (!reset_stream_locked(stream, version)) return false;
     index = Index{};
   }
@@ -339,38 +338,6 @@ Json Store::stats_json(const std::string& stream) const {
   j.set("journal_bytes_after_compact",
         static_cast<long long>(s.journal_bytes_after_compact));
   return j;
-}
-
-// --- legacy single-file formats --------------------------------------------
-
-bool write_versioned_file(const std::string& path,
-                          std::string_view format_tag,
-                          std::uint64_t version,
-                          std::vector<std::pair<std::string, Json>> fields) {
-  Json root = Json::object();
-  root.set("format", std::string(format_tag));
-  root.set("pipeline", support::u64_to_hex(version));
-  for (auto& [key, value] : fields) {
-    root.set(std::move(key), std::move(value));
-  }
-  // Atomic publish (temp + rename): concurrent whole-file savers sharing
-  // one path race benignly and a reader never observes a torn write.
-  return support::atomic_write_file(path, root.dump() + '\n');
-}
-
-std::optional<Json> read_versioned_file(const std::string& path,
-                                        std::string_view format_tag,
-                                        std::uint64_t version) {
-  const auto text = support::read_file(path);
-  if (!text) return std::nullopt;
-  auto root = Json::parse(*text);
-  if (!root || (*root)["format"].as_string() != format_tag) {
-    return std::nullopt;  // missing, malformed, or a foreign format
-  }
-  if ((*root)["pipeline"].as_string() != support::u64_to_hex(version)) {
-    return std::nullopt;  // stale: written by a different pipeline
-  }
-  return root;
 }
 
 }  // namespace pareval::cache

@@ -517,7 +517,9 @@ TEST(Classify, PipelineProducesCategoryCounts) {
 // -------------------------------------------------------------- report --
 
 TEST(Report, Table1AndFigure2Render) {
-  const std::string t1 = eval::table1_report();
+  const eval::Suite& suite = eval::Suite::paper();
+  const eval::SweepSpec spec = eval::SweepSpec::paper();
+  const std::string t1 = eval::table1_report(suite);
   EXPECT_NE(t1.find("XSBench"), std::string::npos);
   EXPECT_NE(t1.find("# Files"), std::string::npos);
 
@@ -526,9 +528,10 @@ TEST(Report, Table1AndFigure2Render) {
   std::vector<eval::TaskResult> tasks = {eval::run_task(
       *apps::find_app("nanoXOR"), Technique::NonAgentic,
       *llm::find_profile("o4-mini"), llm::all_pairs()[0], cfg)};
-  const std::string f2 = eval::figure2_report(llm::all_pairs()[0], tasks);
+  const std::string f2 =
+      eval::figure2_report(suite, spec, llm::all_pairs()[0], tasks);
   EXPECT_NE(f2.find("Code-only build@1"), std::string::npos);
   EXPECT_NE(f2.find("Overall pass@1"), std::string::npos);
-  const std::string f4 = eval::figure4_report(tasks);
+  const std::string f4 = eval::figure4_report(suite, spec, tasks);
   EXPECT_NE(f4.find("inference tokens"), std::string::npos);
 }

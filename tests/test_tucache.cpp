@@ -10,11 +10,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -23,6 +21,7 @@
 #include "buildsim/tucache.hpp"
 #include "eval/harness.hpp"
 #include "execsim/driver.hpp"
+#include "minic/objcodec.hpp"
 #include "support/cachestore.hpp"
 #include "support/strings.hpp"
 
@@ -84,6 +83,24 @@ Repo failing_tu_repo() {
              "int main() { return undeclared_thing(); }\n");
   repo.write("helper.h", "int helper() { return 1; }\n");
   return repo;
+}
+
+/// An empty store directory under the test temp dir.
+std::string fresh_store_dir(const std::string& name) {
+  const std::string dir = ::testing::TempDir() + name;
+  std::filesystem::remove_all(dir);
+  return dir;
+}
+
+/// Every record of `stream`, serialized, in replay order.
+std::vector<std::string> stream_records(cache::Store& store,
+                                        const char* stream,
+                                        std::uint64_t version) {
+  std::vector<std::string> out;
+  store.replay(stream, version, [&out](const support::Json& j) {
+    out.push_back(j.dump());
+  });
+  return out;
 }
 
 }  // namespace
@@ -238,23 +255,26 @@ TEST(TuCache, CachedVsUncachedDiagnosticsBitIdentical) {
   EXPECT_EQ(cold.get(), warm.get());  // shared, not recompiled
   EXPECT_EQ(direct->diags.render(), cold->diags.render());
 
-  // Persisted round trip: a fresh cache loading the file reconstructs the
-  // failed TU from its serialized outcome — identical diagnostics, no
+  // Persisted round trip: a fresh cache replaying the store reconstructs
+  // the failed TU from its serialized outcome — identical diagnostics, no
   // compile performed.
-  const std::string path = "tu_cache_diag_test.json";
-  ASSERT_TRUE(cache.save(path, 42));
+  const std::string dir = fresh_store_dir("tu_cache_diag_store");
+  cache::Store store(dir);
+  ASSERT_TRUE(store.open());
+  cache.attach(store, 42);
+  ASSERT_GT(cache.flush(), 0u);
   TuCompileCache loaded;
-  ASSERT_TRUE(loaded.load(path, 42));
+  ASSERT_TRUE(loaded.attach(store, 42));
   const auto reconstructed = compile(loaded, repo, "main.cpp");
   EXPECT_EQ(loaded.persisted_hits(), 1u);
   EXPECT_EQ(loaded.misses(), 0u);
   EXPECT_EQ(direct->diags.render(), reconstructed->diags.render());
   EXPECT_EQ(direct->resolved_files, reconstructed->resolved_files);
-  std::remove(path.c_str());
+  std::filesystem::remove_all(dir);
 }
 
 TEST(TuCache, FullBuildBitIdenticalThroughCache) {
-  // Failing and succeeding builds, uncached vs TU-cached vs warm-file
+  // Failing and succeeding builds, uncached vs TU-cached vs warm-store
   // plan reconstruction: BuildResult logs and diagnostics must match to
   // the byte.
   for (const Repo& repo : {failing_makefile_repo(), failing_tu_repo(),
@@ -269,10 +289,13 @@ TEST(TuCache, FullBuildBitIdenticalThroughCache) {
     EXPECT_EQ(uncached.build_system, cached.build_system);
     EXPECT_EQ(uncached.caps, cached.caps);
 
-    const std::string path = "tu_cache_build_test.json";
-    ASSERT_TRUE(cache.save(path, 7));
+    const std::string dir = fresh_store_dir("tu_cache_build_store");
+    cache::Store store(dir);
+    ASSERT_TRUE(store.open());
+    cache.attach(store, 7);
+    ASSERT_GT(cache.flush(), 0u);
     TuCompileCache loaded;
-    ASSERT_TRUE(loaded.load(path, 7));
+    ASSERT_TRUE(loaded.attach(store, 7));
     const auto warm = buildsim::build_repo(repo, "", &loaded);
     EXPECT_EQ(uncached.ok, warm.ok);
     EXPECT_EQ(uncached.log, warm.log);
@@ -289,7 +312,7 @@ TEST(TuCache, FullBuildBitIdenticalThroughCache) {
       EXPECT_EQ(execsim::run_executable(*uncached.exe, {}).stdout_text,
                 execsim::run_executable(*warm.exe, {}).stdout_text);
     }
-    std::remove(path.c_str());
+    std::filesystem::remove_all(dir);
   }
 }
 
@@ -314,25 +337,28 @@ TEST(TuCache, FailedBuildWithLinkedTargetIsNeverPlanReconstructed) {
 
   TuCompileCache cache;
   const auto cached = buildsim::build_repo(repo, "", &cache);
-  const std::string path = "tu_cache_multi_target_test.json";
-  ASSERT_TRUE(cache.save(path, 11));
+  const std::string dir = fresh_store_dir("tu_cache_multi_target_store");
+  cache::Store store(dir);
+  ASSERT_TRUE(store.open());
+  cache.attach(store, 11);
+  ASSERT_GT(cache.flush(), 0u);
   TuCompileCache loaded;
-  ASSERT_TRUE(loaded.load(path, 11));
+  ASSERT_TRUE(loaded.attach(store, 11));
   const auto warm = buildsim::build_repo(repo, "", &loaded);
   EXPECT_EQ(loaded.plan_hits(), 0u);  // rebuilt, not reconstructed
   EXPECT_EQ(cold.ok, warm.ok);
   EXPECT_EQ(cold.log, warm.log);
   EXPECT_EQ(cold.exe.has_value(), warm.exe.has_value());
-  std::remove(path.c_str());
+  std::filesystem::remove_all(dir);
 }
 
 TEST(TuCache, SeedCorpusStagedScoresBitIdentical) {
   // The end-to-end gate: one pair of the paper sweep, run (1) uncached,
   // (2) through a fresh three-layer ScoreCache, and (3) through a cache
-  // whose TU layer alone was persisted and reloaded (score layer cold, so
-  // Build stages actually consult the TU file — failed plans reconstruct,
-  // successful builds recompile). All TaskResults, including per-stage
-  // logs, must be bit-identical.
+  // whose TU layer alone was flushed to a store and replayed (score layer
+  // cold, so Build stages actually consult the persisted TU layer —
+  // failed plans reconstruct, successful TUs decode their objects). All
+  // TaskResults, including per-stage logs, must be bit-identical.
   const llm::Pair& pair = llm::all_pairs()[0];
   eval::HarnessConfig uncached;
   uncached.samples_per_task = 4;
@@ -350,17 +376,20 @@ TEST(TuCache, SeedCorpusStagedScoresBitIdentical) {
       << "the dedupe must be real: TU compiles strictly fewer than "
          "lookups";
 
-  const std::string path = "tu_cache_corpus_test.json";
-  ASSERT_TRUE(cache.tus().save(path, eval::scoring_pipeline_hash()));
-  eval::ScoreCache warm;  // score layer cold, TU layer from disk
-  ASSERT_TRUE(warm.tus().load(path, eval::scoring_pipeline_hash()));
+  const std::string dir = fresh_store_dir("tu_cache_corpus_store");
+  cache::Store store(dir);
+  ASSERT_TRUE(store.open());
+  cache.tus().attach(store, eval::scoring_pipeline_hash());
+  ASSERT_GT(cache.tus().flush(), 0u);
+  eval::ScoreCache warm;  // score layer cold, TU layer from the store
+  ASSERT_TRUE(warm.tus().attach(store, eval::scoring_pipeline_hash()));
   eval::HarnessConfig warm_cfg = uncached;
   warm_cfg.score_cache = &warm;
-  const auto through_file = eval::run_pair_sweep(pair, warm_cfg);
-  EXPECT_EQ(reference, through_file);
+  const auto through_store = eval::run_pair_sweep(pair, warm_cfg);
+  EXPECT_EQ(reference, through_store);
   EXPECT_GT(warm.tus().plan_hits(), 0u)
       << "failed builds must reconstruct from persisted plans";
-  std::remove(path.c_str());
+  std::filesystem::remove_all(dir);
 }
 
 // ------------------------------------------------------- persistence ----
@@ -374,41 +403,40 @@ TEST(TuCache, PersistRoundTripAndVersionMismatchColdStart) {
   EXPECT_EQ(cache.size(), 2u);        // a.cpp, b.cpp
   EXPECT_EQ(cache.plan_count(), 2u);  // one ok plan, one failed plan
 
-  const std::string path = "tu_cache_roundtrip_test.json";
-  ASSERT_TRUE(cache.save(path, 1234));
+  const std::string dir = fresh_store_dir("tu_cache_roundtrip_store");
+  cache::Store store(dir);
+  ASSERT_TRUE(store.open());
+  cache.attach(store, 1234);
+  ASSERT_GT(cache.flush(), 0u);
 
   TuCompileCache same_version;
-  ASSERT_TRUE(same_version.load(path, 1234));
+  ASSERT_TRUE(same_version.attach(store, 1234));
   EXPECT_EQ(same_version.size(), 2u);
   EXPECT_EQ(same_version.plan_count(), 2u);
-  // Round trip is stable: saving the loaded cache reproduces the file.
-  const std::string path2 = path + ".resaved";
-  ASSERT_TRUE(same_version.save(path2, 1234));
-  std::ifstream f1(path), f2(path2);
-  std::stringstream s1, s2;
-  s1 << f1.rdbuf();
-  s2 << f2.rdbuf();
-  EXPECT_EQ(s1.str(), s2.str());
 
   TuCompileCache other_version;
-  EXPECT_FALSE(other_version.load(path, 999));  // stale pipeline
+  EXPECT_FALSE(other_version.attach(store, 999));  // stale pipeline
   EXPECT_EQ(other_version.size(), 0u);
   EXPECT_EQ(other_version.plan_count(), 0u);
 
-  TuCompileCache missing;
-  EXPECT_FALSE(missing.load("no_such_tu_cache.json", 1234));
+  cache::Store missing(fresh_store_dir("no_such_tu_store"));
+  TuCompileCache absent;
+  EXPECT_FALSE(absent.attach(missing, 1234));
 
-  // A malformed file loads nothing.
-  {
-    std::ofstream out(path, std::ios::trunc);
-    out << "{\"format\":\"pareval-tu-cache-v1\",";
+  // A malformed journal replays nothing: a clean miss, not a crash.
+  for (const char* stream :
+       {TuCompileCache::kTuStream, TuCompileCache::kPlanStream}) {
+    std::ofstream out(dir + "/" + stream + ".journal", std::ios::trunc);
+    out << "{\"key\":\"0000000000000001\",";
   }
   TuCompileCache malformed;
-  EXPECT_FALSE(malformed.load(path, 1234));
+  malformed.attach(store, 1234);
   EXPECT_EQ(malformed.size(), 0u);
+  EXPECT_EQ(malformed.plan_count(), 0u);
+  ASSERT_FALSE(buildsim::build_repo(bad, "", &malformed).ok);
+  EXPECT_EQ(malformed.plan_hits(), 0u);  // rebuilt from scratch
 
-  std::remove(path.c_str());
-  std::remove(path2.c_str());
+  std::filesystem::remove_all(dir);
 }
 
 TEST(TuCache, JournalStoreRoundTripReconstructsFailedPlans) {
@@ -444,51 +472,36 @@ TEST(TuCache, JournalStoreRoundTripReconstructsFailedPlans) {
   ASSERT_FALSE(buildsim::build_repo(bad, "", &warm).ok);
   EXPECT_EQ(warm.plan_hits(), 1u);
 
-  // Journal replay and legacy files agree byte for byte.
-  const std::string file_a = "tu_cache_journal_cold.json";
-  const std::string file_b = "tu_cache_journal_warm.json";
-  ASSERT_TRUE(cold.save(file_a, 1234));
-  ASSERT_TRUE(warm.save(file_b, 1234));
-  std::ifstream f1(file_a), f2(file_b);
-  std::stringstream s1, s2;
-  s1 << f1.rdbuf();
-  s2 << f2.rdbuf();
-  EXPECT_EQ(s1.str(), s2.str());
+  // Replay then flush reproduces the cold run's records exactly: a
+  // replayed cache forwarded into a fresh store writes the same records,
+  // in the same order, as the cold cache wrote.
+  const std::string copy_dir = fresh_store_dir(
+      "tucache_journal_roundtrip_copy");
+  cache::Store copy_store(copy_dir);
+  ASSERT_TRUE(copy_store.open());
+  TuCompileCache copy;
+  copy.attach(copy_store, 1234);
+  ASSERT_TRUE(copy.import_store(reader, 1234));
+  EXPECT_GT(copy.flush(), 0u);
+  for (const char* stream :
+       {TuCompileCache::kTuStream, TuCompileCache::kPlanStream}) {
+    const auto cold_records = stream_records(store, stream, 1234);
+    EXPECT_FALSE(cold_records.empty()) << stream;
+    EXPECT_EQ(stream_records(copy_store, stream, 1234), cold_records)
+        << stream;
+  }
+  const std::uint64_t obj_version = minic::obj_stream_version(1234);
+  EXPECT_EQ(stream_records(copy_store, TuCompileCache::kObjStream,
+                           obj_version),
+            stream_records(store, TuCompileCache::kObjStream, obj_version));
 
   TuCompileCache stale;
   EXPECT_FALSE(stale.attach(reader, 999));  // stale pipeline cold-starts
   EXPECT_EQ(stale.size(), 0u);
   EXPECT_EQ(stale.plan_count(), 0u);
 
-  std::remove(file_a.c_str());
-  std::remove(file_b.c_str());
+  std::filesystem::remove_all(copy_dir, ec);
   std::filesystem::remove_all(dir, ec);
-}
-
-TEST(TuCache, DeltaContainsOnlyFreshEntries) {
-  TuCompileCache first;
-  ASSERT_FALSE(buildsim::build_repo(failing_makefile_repo(), "", &first).ok);
-  const std::string base = "tu_cache_delta_base.json";
-  ASSERT_TRUE(first.save(base, 5));
-
-  TuCompileCache second;
-  ASSERT_TRUE(second.load(base, 5));
-  ASSERT_TRUE(buildsim::build_repo(two_tu_repo(), "", &second).ok);
-  std::size_t delta_entries = 0;
-  const std::string delta = "tu_cache_delta_test.json";
-  ASSERT_TRUE(second.save_delta(delta, 5, &delta_entries));
-  // Only this run's work: 2 TUs + 1 plan; the loaded failed plan is not
-  // re-shipped.
-  EXPECT_EQ(delta_entries, 3u);
-
-  // A delta file is itself a valid cache file.
-  TuCompileCache merged;
-  ASSERT_TRUE(merged.load(base, 5));
-  ASSERT_TRUE(merged.load(delta, 5));
-  EXPECT_EQ(merged.plan_count(), 2u);
-  EXPECT_EQ(merged.size(), 2u);
-  std::remove(base.c_str());
-  std::remove(delta.c_str());
 }
 
 TEST(TuCache, CapacityBound) {
@@ -510,7 +523,8 @@ TEST(TuCache, CapacityBound) {
 
 TEST(TuCache, PlanCapacityBound) {
   // Plans respect the same capacity bound as TU entries — whether
-  // recorded live, loaded from a file, or present when the bound shrinks.
+  // recorded live, replayed from a store, or present when the bound
+  // shrinks.
   TuCompileCache cache;
   cache.set_capacity(16);
   buildsim::BuildResult failed;
@@ -522,23 +536,26 @@ TEST(TuCache, PlanCapacityBound) {
   EXPECT_LE(cache.plan_count(), 16u);
   EXPECT_GT(cache.plan_count(), 0u);
 
-  const std::string path = "tu_cache_plan_bound_test.json";
+  const std::string dir = fresh_store_dir("tu_cache_plan_bound_store");
+  cache::Store store(dir);
+  ASSERT_TRUE(store.open());
   TuCompileCache unbounded;
+  unbounded.attach(store, 3);
   for (std::uint64_t k = 1; k <= 64; ++k) {
     unbounded.record_plan(k, failed, {});
   }
-  ASSERT_TRUE(unbounded.save(path, 3));
+  ASSERT_EQ(unbounded.flush(), 64u);
   TuCompileCache bounded;
   bounded.set_capacity(16);
-  ASSERT_TRUE(bounded.load(path, 3));  // loaded plans are bounded too
+  ASSERT_TRUE(bounded.attach(store, 3));  // replayed plans are bounded too
   EXPECT_LE(bounded.plan_count(), 16u);
 
   TuCompileCache shrunk;
-  ASSERT_TRUE(shrunk.load(path, 3));
+  ASSERT_TRUE(shrunk.attach(store, 3));
   EXPECT_EQ(shrunk.plan_count(), 64u);
   shrunk.set_capacity(16);  // shrinking prunes existing plans
   EXPECT_LE(shrunk.plan_count(), 16u);
-  std::remove(path.c_str());
+  std::filesystem::remove_all(dir);
 }
 
 // ------------------------------------------------------- concurrency ----

@@ -720,6 +720,62 @@ int main() {
   EXPECT_TRUE(has_runtime_fault(r.diags));
 }
 
+TEST(VmFault, MinOverMinusOneTrapsInBothEngines) {
+  // LLONG_MIN / -1 (and % -1) has no representable quotient: evaluated
+  // natively it raises SIGFPE and kills the whole host process. Every
+  // spelling — binary and compound, both engines — must trap instead.
+  for (const char* expr : {"m / d", "m % d", "(m /= d)", "(m %= d)"}) {
+    const std::string src = std::string(R"(
+#include <stdio.h>
+int main() {
+  long long m = -9223372036854775807 - 1;
+  long long d = -1;
+  printf("%lld\n", )") + expr + R"();
+  return 0;
+}
+)";
+    const RunResult r = run_both(src, Capabilities{});
+    EXPECT_FALSE(r.ok) << expr;
+    EXPECT_TRUE(has_runtime_fault(r.diags)) << expr;
+    EXPECT_NE(r.stderr_text.find("integer division overflow"),
+              std::string::npos)
+        << expr << ": " << r.stderr_text;
+  }
+}
+
+TEST(VmFault, IntegerOverflowWrapsInBothEngines) {
+  // Signed overflow is two's-complement wrap in both engines, whether it
+  // comes from a binary operator, a compound assignment, ++/-- or unary
+  // minus — never host undefined behaviour (the UBSan job runs this).
+  const RunResult r = run_both(R"(
+#include <stdio.h>
+int main() {
+  long long max = 9223372036854775807;
+  long long min = -max - 1;
+  long long s = max;
+  s += 1;
+  long long t = min;
+  t -= 1;
+  long long p = max;
+  p *= 2;
+  long long i = max;
+  i++;
+  long long j = min;
+  j--;
+  printf("%lld %lld %lld %lld %lld\n", s, t, p, i, j);
+  printf("%lld %lld %lld\n", max + 1, min - 1, -min);
+  return 0;
+}
+)",
+                               Capabilities{});
+  EXPECT_TRUE(r.ok) << r.stderr_text;
+  EXPECT_EQ(r.stdout_text,
+            "-9223372036854775808 9223372036854775807 -2 "
+            "-9223372036854775808 9223372036854775807\n"
+            "-9223372036854775808 9223372036854775807 "
+            "-9223372036854775808\n");
+}
+
 TEST(VmFault, HugeMallocTrapsOutOfMemory) {
   // The second request is far past RunLimits::max_cells; adding it to the
   // running total before the check overflowed a signed counter.

@@ -5,12 +5,12 @@
 // figure-critical work drains before any other (Normal) tasks a host
 // process may have queued.
 //
-// With --cache FILE the ScoreCache is warm-started from a previous run
-// (self-invalidating via the scoring-pipeline hash) and persisted back, so
-// a second run is mostly cache hits — the warm-start speedup is recorded
-// in BENCH_figures.json and visible in the CI bench job's logs. With
-// --spec FILE the sweep covers a declarative subset instead of the full
-// paper matrix.
+// With --cache-dir DIR the ScoreCache is warm-started from a previous
+// run's journaled cache::Store (self-invalidating via the scoring-pipeline
+// hash) and flushed back, so a second run is mostly cache hits — the
+// warm-start speedup is recorded in BENCH_figures.json and visible in the
+// CI bench job's logs. With --spec FILE the sweep covers a declarative
+// subset instead of the full paper matrix.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -49,11 +49,6 @@ int usage(const char* argv0) {
       "  --cache-dir DIR    warm-start from and publish to a journaled\n"
       "                     cache directory (cache::Store) shared with\n"
       "                     sweep_worker/sweep_merge\n"
-      "  --cache FILE       [deprecated: use --cache-dir]\n"
-      "                     load/save the persistent score cache\n"
-      "  --tu-cache FILE    [deprecated: use --cache-dir]\n"
-      "                     load/save the persistent TU compile cache\n"
-      "                     (pareval-tu-cache-v1)\n"
       "  --cache-stats FILE write per-layer cache stats (score / build /\n"
       "                     TU, plus per-stream journal counters when\n"
       "                     --cache-dir is given) as JSON with a pinned\n"
@@ -90,8 +85,6 @@ double ms_since(std::chrono::steady_clock::time_point t0) {
 
 int main(int argc, char** argv) {
   std::string cache_dir;
-  std::string cache_path;
-  std::string tu_cache_path;
   std::string cache_stats_path;
   std::string spec_path;
   std::string out_path = "BENCH_figures.json";
@@ -112,12 +105,6 @@ int main(int argc, char** argv) {
       spec_path = argv[++i];
     } else if (arg == "--cache-dir" && i + 1 < argc) {
       cache_dir = argv[++i];
-    } else if (arg == "--cache" && i + 1 < argc) {
-      tools::warn_deprecated("bench_figures", "--cache");
-      cache_path = argv[++i];
-    } else if (arg == "--tu-cache" && i + 1 < argc) {
-      tools::warn_deprecated("bench_figures", "--tu-cache");
-      tu_cache_path = argv[++i];
     } else if (arg == "--cache-stats" && i + 1 < argc) {
       cache_stats_path = argv[++i];
     } else if (arg == "--no-score-layer") {
@@ -145,13 +132,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "bench_figures: --spec is exclusive with --samples/--seed "
                  "(the spec declares them)\n");
-    return 2;
-  }
-  if (!cache_dir.empty() &&
-      (!cache_path.empty() || !tu_cache_path.empty())) {
-    std::fprintf(stderr,
-                 "bench_figures: --cache-dir is exclusive with the legacy "
-                 "--cache/--tu-cache flags\n");
     return 2;
   }
 
@@ -204,20 +184,6 @@ int main(int argc, char** argv) {
       loaded_entries = preloaded ? cache.size() : 0;
     }
   }
-  if (!cache_path.empty()) {
-    preloaded = cache.load(cache_path);
-    loaded_entries = preloaded ? cache.size() : 0;
-    std::printf("score cache: %s (%zu entries)\n",
-                preloaded ? "warm-started" : "cold start",
-                loaded_entries);
-  }
-  if (!tu_cache_path.empty()) {
-    tu_preloaded =
-        cache.tus().load(tu_cache_path, eval::scoring_pipeline_hash());
-    std::printf("TU compile cache: %s (%zu TUs, %zu plans)\n",
-                tu_preloaded ? "warm-started" : "cold start",
-                cache.tus().size(), cache.tus().plan_count());
-  }
 
   // One sweep over the whole spec; every figure below reads from it.
   const auto t_sweep = std::chrono::steady_clock::now();
@@ -264,26 +230,6 @@ int main(int argc, char** argv) {
                     store->stats(eval::ScoreCache::kStream).generation),
                 store->journal_bytes(eval::ScoreCache::kStream));
   }
-  if (!cache_path.empty()) {
-    if (cache.save(cache_path)) {
-      std::printf("saved score cache to %s (%zu entries)\n",
-                  cache_path.c_str(), cache.size());
-    } else {
-      std::fprintf(stderr, "bench_figures: could not save cache to %s\n",
-                   cache_path.c_str());
-    }
-  }
-  if (!tu_cache_path.empty()) {
-    if (cache.tus().save(tu_cache_path, eval::scoring_pipeline_hash())) {
-      std::printf("saved TU compile cache to %s (%zu TUs, %zu plans)\n",
-                  tu_cache_path.c_str(), cache.tus().size(),
-                  cache.tus().plan_count());
-    } else {
-      std::fprintf(stderr,
-                   "bench_figures: could not save TU cache to %s\n",
-                   tu_cache_path.c_str());
-    }
-  }
 
   Json root = Json::object();
   Json context = Json::object();
@@ -294,7 +240,6 @@ int main(int argc, char** argv) {
   context.set("threads",
               static_cast<long long>(support::hardware_threads()));
   context.set("cache_dir", cache_dir);
-  context.set("cache_file", cache_path);
   context.set("cache_preloaded", preloaded);
   context.set("cache_entries_loaded",
               static_cast<long long>(loaded_entries));
@@ -310,7 +255,6 @@ int main(int argc, char** argv) {
   // Lower (TU compile) layer: misses == TU compiles actually performed;
   // the dedupe ratio is the fraction of TU lookups a compile was elided
   // for (in-memory sharing across builds + persisted failed-TU hits).
-  context.set("tu_cache_file", tu_cache_path);
   context.set("tu_cache_preloaded", tu_preloaded);
   context.set("tu_cache_hits", static_cast<long long>(cache.tus().hits()));
   context.set("tu_cache_persisted_hits",
@@ -364,9 +308,7 @@ int main(int argc, char** argv) {
     // whatever map-iteration order a JSON post-processor happens to use.
     Json stats = Json::object();
     stats.set("cache_dir", cache_dir);
-    stats.set("cache_file", cache_path);
     stats.set("cache_preloaded", preloaded);
-    stats.set("tu_cache_file", tu_cache_path);
     stats.set("tu_cache_preloaded", tu_preloaded);
     // Per-layer blocks come from the layers' own stats() (the uniform
     // persistence surface), so this artifact and any future sweep_server

@@ -43,52 +43,31 @@ int usage(const char* argv0) {
       "                      without it any uniform engine is accepted\n"
       "  --out FILE          write the merged sweep (default: merged.json)\n"
       "  --report            print the figure reports off the merged sweep\n"
-      "  --verify            re-run the sweep in-process eight ways —\n"
-      "                      uncached, staged-cached (TU layer off),\n"
-      "                      TU-cached, score-cold/TU-warm-file (Build\n"
-      "                      stages reconstruct from the persisted TU\n"
-      "                      cache), warm-file-start (score + TU caches\n"
-      "                      reloaded from disk, Build stage skipped),\n"
-      "                      journal-warm (both layers flushed to a\n"
-      "                      cache::Store, compacted, and replayed into a\n"
-      "                      fresh cache, Build stage skipped),\n"
-      "                      object-warm (only the TU-object + link\n"
-      "                      streams replayed — every sample re-scores\n"
-      "                      but zero sources are parsed and zero\n"
-      "                      programs linked), and uncached under the\n"
-      "                      bytecode-VM engine — and fail unless shards\n"
-      "                      and every reference run are bit-identical.\n"
-      "                      With --cache-dir, a ninth store-warm\n"
-      "                      reference replays the shared directory the\n"
-      "                      workers wrote\n"
+      "  --verify            re-run the sweep in-process as seven\n"
+      "                      references, one per layer, and fail unless\n"
+      "                      shards and every reference are\n"
+      "                      bit-identical: uncached; staged (TU layer\n"
+      "                      off); TU-cached; journal-warm (every layer\n"
+      "                      flushed to a cache::Store, compacted, and\n"
+      "                      replayed; Build stage skipped); object-warm\n"
+      "                      (only the TU, plan, object and link streams\n"
+      "                      replayed — every sample re-scores, failed\n"
+      "                      builds reconstruct from persisted plans,\n"
+      "                      zero sources are parsed and zero programs\n"
+      "                      linked); store-warm (only with --cache-dir:\n"
+      "                      replays the directory the workers wrote);\n"
+      "                      and uncached under the bytecode-VM engine\n"
       "  --cache-dir DIR     the shared journaled cache directory\n"
       "                      (cache::Store) this merge verifies against\n"
       "                      and publishes to; skipped when --verify fails\n"
       "  --import-cache-dir DIR  fold another store's streams (e.g. a\n"
       "                      per-worker journal dir) into --cache-dir\n"
       "                      (repeat per worker)\n"
-      "  --merge-cache FILE  [deprecated: use --cache-dir]\n"
-      "                      fold every --delta into FILE (loading FILE's\n"
-      "                      previous contents first) to publish a warm\n"
-      "                      cache for the next run; skipped when --verify\n"
-      "                      fails (pair it with --verify to publish only\n"
-      "                      proven scores)\n"
-      "  --delta FILE        a sweep_worker --cache-delta file (repeat\n"
-      "                      per worker)\n"
-      "  --merge-tu-cache FILE  [deprecated: use --cache-dir]\n"
-      "                      fold every --tu-delta into FILE (the\n"
-      "                      published pareval-tu-cache-v1 file)\n"
-      "  --tu-delta FILE     a sweep_worker --tu-cache-delta file (repeat\n"
-      "                      per worker)\n"
       "All shards must come from ONE spec; to cover several pairs in one\n"
       "merge, select them in one spec (or --pair all) instead of merging\n"
       "separate per-pair sweeps.\n",
       argv0);
   return 2;
-}
-
-void warn_deprecated(const char* flag) {
-  tools::warn_deprecated("sweep_merge", flag);
 }
 
 }  // namespace
@@ -99,10 +78,6 @@ int main(int argc, char** argv) {
   std::string engine_arg;
   std::string cache_dir;
   std::vector<std::string> import_dirs;
-  std::string merge_cache_path;
-  std::vector<std::string> delta_paths;
-  std::string merge_tu_cache_path;
-  std::vector<std::string> tu_delta_paths;
   bool report = false;
   bool verify = false;
   std::vector<std::string> inputs;
@@ -118,16 +93,6 @@ int main(int argc, char** argv) {
       cache_dir = argv[++i];
     } else if (arg == "--import-cache-dir" && i + 1 < argc) {
       import_dirs.push_back(argv[++i]);
-    } else if (arg == "--merge-cache" && i + 1 < argc) {
-      warn_deprecated("--merge-cache");
-      merge_cache_path = argv[++i];
-    } else if (arg == "--delta" && i + 1 < argc) {
-      delta_paths.push_back(argv[++i]);
-    } else if (arg == "--merge-tu-cache" && i + 1 < argc) {
-      warn_deprecated("--merge-tu-cache");
-      merge_tu_cache_path = argv[++i];
-    } else if (arg == "--tu-delta" && i + 1 < argc) {
-      tu_delta_paths.push_back(argv[++i]);
     } else if (arg == "--report") {
       report = true;
     } else if (arg == "--verify") {
@@ -139,16 +104,6 @@ int main(int argc, char** argv) {
     }
   }
   if (inputs.empty()) return usage(argv[0]);
-  if (!delta_paths.empty() && merge_cache_path.empty()) {
-    std::fprintf(stderr,
-                 "sweep_merge: --delta requires --merge-cache FILE\n");
-    return 2;
-  }
-  if (!tu_delta_paths.empty() && merge_tu_cache_path.empty()) {
-    std::fprintf(stderr,
-                 "sweep_merge: --tu-delta requires --merge-tu-cache FILE\n");
-    return 2;
-  }
   if (!import_dirs.empty() && cache_dir.empty()) {
     std::fprintf(stderr,
                  "sweep_merge: --import-cache-dir requires --cache-dir "
@@ -229,20 +184,18 @@ int main(int argc, char** argv) {
 
   int mismatches = 0;
   if (verify) {
-    // Eight in-process references: uncached, staged two-layer cache (TU
-    // layer off), TU-cached (all three layers), score-cold/TU-warm-file
-    // (persisted plans/TUs reconstruct during real Build stages), a
-    // warm *file* start (score + TU caches reloaded; Build skipped), a
-    // journal-warm start (both layers flushed to a cache::Store,
-    // compacted, and replayed into a fresh cache; Build skipped), an
-    // object-warm start (only the TU-object + link streams replayed —
-    // every sample re-scores, but the warm-object store must satisfy
-    // every Build with zero parses and zero links), and an uncached run
-    // under the bytecode-VM engine. Shards and all eight runs must be
-    // bit-identical — the CI gate that proves distribution, every cache
-    // layer (live, persisted, journaled, or serialized objects), and
-    // the alternate execution engine are all pure memoization / pure
-    // reimplementation.
+    // Seven in-process references, one per layer: uncached, staged
+    // two-layer cache (TU layer off), TU-cached (all three layers),
+    // journal-warm (every layer flushed to a cache::Store, compacted, and
+    // replayed into a fresh cache; Build skipped), object-warm (the score
+    // stream withheld — every sample re-scores, failed builds reconstruct
+    // from persisted plans, and the warm-object store must satisfy every
+    // other Build with zero parses and zero links), store-warm (with
+    // --cache-dir only), and an uncached run under the bytecode-VM
+    // engine. Shards and every run must be bit-identical — the CI gate
+    // that proves distribution, every cache layer (live, journaled, or
+    // serialized objects), and the alternate execution engine are all
+    // pure memoization / pure reimplementation.
     eval::HarnessConfig uncached;
     uncached.use_score_cache = false;
     const auto reference = eval::run_sweep(suite, spec, uncached);
@@ -277,77 +230,15 @@ int main(int argc, char** argv) {
         tu_cached.tus().lookups());
     if (!tu_identical) ++mismatches;
 
-    // Warm file start: persist the TU-cached run's score + TU layers,
-    // reload them into a fresh cache, and re-run. Every score must come
-    // from the reloaded file — the Build stage (and with it every TU
-    // compile) is skipped entirely.
-    const std::string verify_score = out_path + ".verify-score-cache.json";
-    const std::string verify_tu = out_path + ".verify-tu-cache.json";
     const std::uint64_t pipeline_version =
         eval::scoring_pipeline_hash(suite);
-    if (!tu_cached.save(verify_score, pipeline_version) ||
-        !tu_cached.tus().save(verify_tu, pipeline_version)) {
-      std::fprintf(stderr,
-                   "sweep_merge: could not persist verify caches\n");
-      ++mismatches;
-    } else {
-      // First, a score-cold/TU-warm reference: only the TU file is
-      // reloaded, so Build stages actually run against the persisted
-      // entries — failed plans and failed TUs must reconstruct
-      // bit-identically from disk (the warm-file-start run below skips
-      // Build entirely, so it alone would never exercise this path).
-      eval::ScoreCache tu_warm;
-      if (!tu_warm.tus().load(verify_tu, pipeline_version)) {
-        std::fprintf(stderr,
-                     "sweep_merge: could not reload TU verify cache\n");
-        ++mismatches;
-      } else {
-        cached.score_cache = &tu_warm;
-        const auto tu_warm_reference = eval::run_sweep(suite, spec, cached);
-        const bool tu_warm_identical = tu_warm_reference == reference;
-        std::printf(
-            "determinism (score-cold/TU-warm-file vs uncached): %s (%zu "
-            "plan hits, %zu persisted TU hits, %zu TU compiles)\n",
-            tu_warm_identical ? "IDENTICAL" : "MISMATCH",
-            tu_warm.tus().plan_hits(), tu_warm.tus().persisted_hits(),
-            tu_warm.tus().misses());
-        if (!tu_warm_identical) ++mismatches;
-      }
-
-      eval::ScoreCache warm;
-      if (!warm.load(verify_score, pipeline_version) ||
-          !warm.tus().load(verify_tu, pipeline_version)) {
-        std::fprintf(stderr,
-                     "sweep_merge: could not reload verify caches\n");
-        ++mismatches;
-      } else {
-        cached.score_cache = &warm;
-        const auto warm_reference = eval::run_sweep(suite, spec, cached);
-        const bool warm_identical = warm_reference == reference;
-        // A warm file start must never rebuild: zero build-layer misses
-        // means the Build stage was skipped for every sample.
-        const bool build_skipped =
-            warm.builds().misses() == 0 && warm.tus().misses() == 0;
-        std::printf(
-            "determinism (warm-file-start vs uncached): %s (score layer "
-            "%zu hits / %zu misses; Build stage %s: %zu builds, %zu TU "
-            "compiles)\n",
-            warm_identical ? "IDENTICAL" : "MISMATCH", warm.hits(),
-            warm.misses(), build_skipped ? "SKIPPED" : "NOT SKIPPED",
-            warm.builds().misses(), warm.tus().misses());
-        if (!warm_identical || !build_skipped) ++mismatches;
-      }
-    }
-    std::remove(verify_score.c_str());
-    std::remove(verify_tu.c_str());
 
     // Journal-warm reference: flush the TU-cached run's score + TU layers
     // into a throwaway cache::Store, compact every stream (so the replay
     // crosses a generation bump), and replay the store into a fresh cache
-    // through a separate Store instance — the multi-writer analogue of
-    // the warm-file-start reference. Must be bit-identical with the Build
-    // stage skipped, proving journaled persistence round-trips exactly
-    // like the legacy files.
+    // through a separate Store instance. Must be bit-identical with the
+    // Build stage skipped, proving journaled persistence round-trips
+    // exactly.
     {
       const std::string store_dir = out_path + ".verify-store";
       std::error_code ec;
@@ -369,7 +260,7 @@ int main(int argc, char** argv) {
                            pipeline_version) &&
             // The object streams version-fold the codec format version,
             // so a codec bump cold-starts them without touching the
-            // legacy streams.
+            // score, TU and plan streams.
             writer.compact(buildsim::TuCompileCache::kObjStream,
                            minic::obj_stream_version(pipeline_version)) &&
             writer.compact(buildsim::LinkCache::kStream,
@@ -411,11 +302,13 @@ int main(int argc, char** argv) {
         }
 
         // Object-warm reference: replay ONLY the build-side streams —
-        // TU objects (+ plans) and the link cache; the score stream is
-        // deliberately withheld. Every sample re-scores through a real
-        // Build stage, but the warm-object store must satisfy all of it:
-        // zero fresh TU compiles, zero source parses, zero link_tus
-        // calls (measured by the process-wide driver counters).
+        // TU outcomes, plans and objects, and the link cache; the score
+        // stream is deliberately withheld. Every sample re-scores through
+        // a real Build stage: failed builds reconstruct from persisted
+        // plans (the plan hits printed below), and the warm-object store
+        // must satisfy the rest — zero fresh TU compiles, zero source
+        // parses, zero link_tus calls (measured by the process-wide
+        // driver counters).
         cache::Store obj_reader(store_dir);
         eval::ScoreCache object_warm;
         if (!object_warm.tus().attach(obj_reader, pipeline_version) ||
@@ -437,13 +330,13 @@ int main(int argc, char** argv) {
           std::printf(
               "determinism (object-warm-store vs uncached): %s (Build "
               "stage %s: %zu TU compiles, %llu parses, %llu links; %zu "
-              "object hits, %zu link-cache hits)\n",
+              "plan hits, %zu object hits, %zu link-cache hits)\n",
               object_identical ? "IDENTICAL" : "MISMATCH",
               build_warm ? "OBJECT-WARM" : "NOT OBJECT-WARM",
               object_warm.tus().misses(),
               static_cast<unsigned long long>(parses),
               static_cast<unsigned long long>(links),
-              object_warm.tus().obj_hits(),
+              object_warm.tus().plan_hits(), object_warm.tus().obj_hits(),
               object_warm.links().hits() +
                   object_warm.links().persisted_hits());
           if (!object_identical || !build_warm) ++mismatches;
@@ -521,75 +414,6 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::printf("wrote %s\n", out_path.c_str());
-
-  // Fold the workers' cache deltas into a published cache so the next
-  // sweep warm-starts from this run's scores. Existing published entries
-  // survive (load-then-merge); a stale or missing published file just
-  // means the deltas seed a fresh one. Never publish from a run that
-  // failed verification — a divergent sweep's scores must not warm-start
-  // anything.
-  if (!merge_cache_path.empty() && mismatches > 0) {
-    std::fprintf(stderr,
-                 "sweep_merge: verification failed — not publishing %s\n",
-                 merge_cache_path.c_str());
-  }
-  if (!merge_cache_path.empty() && mismatches == 0) {
-    eval::ScoreCache published;
-    const bool had_previous = published.load(merge_cache_path);
-    std::size_t loaded = 0;
-    for (const std::string& delta : delta_paths) {
-      if (published.load(delta)) {
-        ++loaded;
-      } else {
-        std::fprintf(stderr,
-                     "sweep_merge: skipping stale/unreadable cache delta "
-                     "%s\n",
-                     delta.c_str());
-      }
-    }
-    if (!published.save(merge_cache_path)) {
-      std::fprintf(stderr, "sweep_merge: could not write merged cache %s\n",
-                   merge_cache_path.c_str());
-      return 1;
-    }
-    std::printf(
-        "merged %zu/%zu cache deltas into %s (%zu entries%s)\n", loaded,
-        delta_paths.size(), merge_cache_path.c_str(), published.size(),
-        had_previous ? ", on top of the previous published cache" : "");
-  }
-  if (!merge_tu_cache_path.empty() && mismatches > 0) {
-    std::fprintf(stderr,
-                 "sweep_merge: verification failed — not publishing %s\n",
-                 merge_tu_cache_path.c_str());
-  }
-  if (!merge_tu_cache_path.empty() && mismatches == 0) {
-    const std::uint64_t pipeline_version = eval::scoring_pipeline_hash();
-    buildsim::TuCompileCache published_tus;
-    const bool had_previous =
-        published_tus.load(merge_tu_cache_path, pipeline_version);
-    std::size_t loaded = 0;
-    for (const std::string& delta : tu_delta_paths) {
-      if (published_tus.load(delta, pipeline_version)) {
-        ++loaded;
-      } else {
-        std::fprintf(stderr,
-                     "sweep_merge: skipping stale/unreadable TU-cache "
-                     "delta %s\n",
-                     delta.c_str());
-      }
-    }
-    if (!published_tus.save(merge_tu_cache_path, pipeline_version)) {
-      std::fprintf(stderr,
-                   "sweep_merge: could not write merged TU cache %s\n",
-                   merge_tu_cache_path.c_str());
-      return 1;
-    }
-    std::printf(
-        "merged %zu/%zu TU-cache deltas into %s (%zu TUs, %zu plans%s)\n",
-        loaded, tu_delta_paths.size(), merge_tu_cache_path.c_str(),
-        published_tus.size(), published_tus.plan_count(),
-        had_previous ? ", on top of the previous published cache" : "");
-  }
 
   // Fold per-worker journal dirs into the shared store. With one shared
   // --cache-dir the workers already appended directly and this is a

@@ -47,19 +47,6 @@ int usage(const char* argv0) {
       "                       journaled cache directory (cache::Store).\n"
       "                       Any number of workers may share one DIR\n"
       "                       concurrently; no merge step is needed\n"
-      "  --cache FILE         [deprecated: use --cache-dir]\n"
-      "                       warm-start/persist the score cache\n"
-      "  --cache-delta FILE   [deprecated: use --cache-dir]\n"
-      "                       write only the cache entries this run added\n"
-      "                       (ship with the shard for sweep_merge\n"
-      "                       --merge-cache to fold into a published cache)\n"
-      "  --tu-cache FILE      [deprecated: use --cache-dir]\n"
-      "                       warm-start/persist the TU compile cache\n"
-      "                       (pareval-tu-cache-v1: TU outcomes + per-build\n"
-      "                       compile-plan digests)\n"
-      "  --tu-cache-delta FILE  [deprecated: use --cache-dir]\n"
-      "                       write only the TU entries/plans this run\n"
-      "                       added (for sweep_merge --merge-tu-cache)\n"
       "  --out FILE           shard file to write (default: shard.json)\n",
       argv0);
   return 2;
@@ -74,10 +61,6 @@ int main(int argc, char** argv) {
   std::string spec_path;
   std::string out_path = "shard.json";
   std::string cache_dir;
-  std::string cache_path;
-  std::string cache_delta_path;
-  std::string tu_cache_path;
-  std::string tu_cache_delta_path;
   bool samples_set = false, seed_set = false;
   eval::HarnessConfig config;
 
@@ -113,18 +96,6 @@ int main(int argc, char** argv) {
       }
     } else if (arg == "--cache-dir" && (v = value())) {
       cache_dir = v;
-    } else if (arg == "--cache" && (v = value())) {
-      tools::warn_deprecated("sweep_worker", "--cache");
-      cache_path = v;
-    } else if (arg == "--cache-delta" && (v = value())) {
-      tools::warn_deprecated("sweep_worker", "--cache-delta");
-      cache_delta_path = v;
-    } else if (arg == "--tu-cache" && (v = value())) {
-      tools::warn_deprecated("sweep_worker", "--tu-cache");
-      tu_cache_path = v;
-    } else if (arg == "--tu-cache-delta" && (v = value())) {
-      tools::warn_deprecated("sweep_worker", "--tu-cache-delta");
-      tu_cache_delta_path = v;
     } else if (arg == "--out" && (v = value())) {
       out_path = v;
     } else {
@@ -141,15 +112,6 @@ int main(int argc, char** argv) {
                  "--seed (the spec declares them)\n");
     return 2;
   }
-  if (!cache_dir.empty() &&
-      (!cache_path.empty() || !cache_delta_path.empty() ||
-       !tu_cache_path.empty() || !tu_cache_delta_path.empty())) {
-    std::fprintf(stderr,
-                 "sweep_worker: --cache-dir is exclusive with the legacy "
-                 "--cache/--cache-delta/--tu-cache/--tu-cache-delta flags\n");
-    return 2;
-  }
-
   const eval::Suite& suite = eval::Suite::paper();
   eval::SweepSpec spec;
   if (!spec_path.empty()) {
@@ -186,19 +148,6 @@ int main(int argc, char** argv) {
     tools::attach_cache_layers(*store, eval::ScoreCache::global(),
                                eval::scoring_pipeline_hash());
   }
-  if (!cache_path.empty() && eval::ScoreCache::global().load(cache_path)) {
-    std::printf("warm-started score cache from %s (%zu entries)\n",
-                cache_path.c_str(), eval::ScoreCache::global().size());
-  }
-  if (!tu_cache_path.empty() &&
-      eval::ScoreCache::global().tus().load(tu_cache_path,
-                                            eval::scoring_pipeline_hash())) {
-    std::printf("warm-started TU compile cache from %s (%zu TUs, %zu "
-                "plans)\n",
-                tu_cache_path.c_str(),
-                eval::ScoreCache::global().tus().size(),
-                eval::ScoreCache::global().tus().plan_count());
-  }
 
   std::printf("shard %d/%d of spec %s (%zu cells, N=%d, engine %s)...\n",
               shard_index, shard_count,
@@ -222,8 +171,8 @@ int main(int argc, char** argv) {
   }
   std::printf("wrote %s\n", out_path.c_str());
 
-  eval::ScoreCache& cache = eval::ScoreCache::global();
   if (store.has_value()) {
+    eval::ScoreCache& cache = eval::ScoreCache::global();
     const std::size_t score_records = cache.flush();
     const std::size_t tu_records = cache.tus().flush();
     const auto score_stats = store->stats(eval::ScoreCache::kStream);
@@ -242,57 +191,6 @@ int main(int argc, char** argv) {
         cache.builds().hits(), cache.builds().misses(),
         cache.tus().hits(), cache.tus().persisted_hits(),
         cache.tus().misses());
-  }
-  if (!cache_path.empty()) {
-    if (cache.save(cache_path)) {
-      std::printf("saved score cache to %s (%zu entries, score layer "
-                  "%zu hits / %zu misses, build layer %zu hits / %zu "
-                  "misses, TU layer %zu+%zu hits / %zu misses this run)\n",
-                  cache_path.c_str(), cache.size(), cache.hits(),
-                  cache.misses(), cache.builds().hits(),
-                  cache.builds().misses(), cache.tus().hits(),
-                  cache.tus().persisted_hits(), cache.tus().misses());
-    } else {
-      std::fprintf(stderr, "sweep_worker: could not save cache to %s\n",
-                   cache_path.c_str());
-    }
-  }
-  if (!tu_cache_path.empty()) {
-    if (cache.tus().save(tu_cache_path, eval::scoring_pipeline_hash())) {
-      std::printf("saved TU compile cache to %s (%zu TUs, %zu plans)\n",
-                  tu_cache_path.c_str(), cache.tus().size(),
-                  cache.tus().plan_count());
-    } else {
-      std::fprintf(stderr, "sweep_worker: could not save TU cache to %s\n",
-                   tu_cache_path.c_str());
-    }
-  }
-  if (!tu_cache_delta_path.empty()) {
-    std::size_t tu_delta_entries = 0;
-    if (cache.tus().save_delta(tu_cache_delta_path,
-                               eval::scoring_pipeline_hash(),
-                               &tu_delta_entries)) {
-      std::printf("saved TU-cache delta to %s (%zu entries added this "
-                  "run)\n",
-                  tu_cache_delta_path.c_str(), tu_delta_entries);
-    } else {
-      std::fprintf(stderr,
-                   "sweep_worker: could not save TU-cache delta to %s\n",
-                   tu_cache_delta_path.c_str());
-    }
-  }
-  if (!cache_delta_path.empty()) {
-    std::size_t delta_entries = 0;
-    if (cache.save_delta(cache_delta_path, eval::scoring_pipeline_hash(),
-                         &delta_entries)) {
-      std::printf("saved score-cache delta to %s (%zu entries added this "
-                  "run)\n",
-                  cache_delta_path.c_str(), delta_entries);
-    } else {
-      std::fprintf(stderr, "sweep_worker: could not save cache delta to "
-                   "%s\n",
-                   cache_delta_path.c_str());
-    }
   }
   return 0;
 }
