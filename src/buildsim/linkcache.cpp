@@ -1,10 +1,7 @@
 #include "buildsim/linkcache.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 #include <utility>
 
 #include "minic/bytecode.hpp"
@@ -296,46 +293,27 @@ std::optional<execsim::Executable> decode_link(
 
 }  // namespace
 
-// --- Impl -------------------------------------------------------------------
+struct LinkCache::Codec {
+  static constexpr const char* kStream = LinkCache::kStream;
 
-struct LinkCache::Impl {
-  struct Entry {
-    std::optional<execsim::Executable> exe;  // live outcome (shares TUs)
-    std::string payload;                     // serialized, if replayed
-    std::uint64_t last_used = 0;
-    bool published = false;  // record already in the attached store
-  };
-
-  std::uint64_t tick() noexcept {
-    return clock.fetch_add(1, std::memory_order_relaxed) + 1;
+  /// A replayed payload forwards verbatim; a live link serializes here.
+  static std::optional<Json> encode(std::uint64_t key, const Link& link) {
+    const std::string payload =
+        link.payload.empty() && link.exe.has_value() ? encode_link(*link.exe)
+                                                     : link.payload;
+    if (payload.empty()) return std::nullopt;
+    Json j = Json::object();
+    j.set("key", support::u64_to_hex(key));
+    j.set("payload", support::base64_encode(payload));
+    return j;
   }
 
-  /// Caller holds mu.
-  void bound_locked() {
-    const std::size_t bound =
-        std::max<std::size_t>(1, capacity.load(std::memory_order_relaxed));
-    while (entries.size() > bound) {
-      auto victim = entries.begin();
-      for (auto it = std::next(victim); it != entries.end(); ++it) {
-        if (it->second.last_used < victim->second.last_used) victim = it;
-      }
-      entries.erase(victim);
-    }
+  static bool decode(const Json& j, std::uint64_t* key, Link* out) {
+    return support::u64_from_hex(j["key"].as_string(), key) &&
+           j["payload"].is_string() &&
+           support::base64_decode(j["payload"].as_string(), &out->payload);
   }
-
-  mutable std::mutex mu;
-  std::unordered_map<std::uint64_t, Entry> entries;
-  std::atomic<std::size_t> hits{0};
-  std::atomic<std::size_t> persisted_hits{0};
-  std::atomic<std::size_t> misses{0};
-  std::atomic<std::uint64_t> clock{0};
-  std::atomic<std::size_t> capacity{1 << 12};
-  cache::Store* store = nullptr;
-  std::uint64_t store_version = 0;
 };
-
-LinkCache::LinkCache() : impl_(new Impl) {}
-LinkCache::~LinkCache() = default;
 
 std::uint64_t LinkCache::link_key(const std::vector<std::uint64_t>& tu_keys,
                                   const Capabilities& caps) {
@@ -351,171 +329,69 @@ std::optional<execsim::Executable> LinkCache::lookup(
     std::uint64_t key,
     const std::vector<std::shared_ptr<TranslationUnit>>& tus,
     const Capabilities& caps) {
+  std::optional<execsim::Executable> live;
   std::string payload;
-  {
-    std::lock_guard<std::mutex> lock(impl_->mu);
-    const auto it = impl_->entries.find(key);
-    if (it == impl_->entries.end()) {
-      impl_->misses.fetch_add(1, std::memory_order_relaxed);
-      return std::nullopt;
+  const bool found = links_.find(key, [&](const Link& link) {
+    if (link.exe.has_value()) {
+      live = link.exe;
+    } else {
+      payload = link.payload;
     }
-    it->second.last_used = impl_->tick();
-    if (it->second.exe.has_value()) {
-      impl_->hits.fetch_add(1, std::memory_order_relaxed);
-      return *it->second.exe;
-    }
-    payload = it->second.payload;
+  });
+  if (live.has_value()) {
+    hits_.fetch_add(1, std::memory_order_relaxed);
+    return live;
   }
 
   // Decode outside the lock (chunk decoding is the expensive part).
   auto exe = payload.empty() ? std::nullopt
                              : decode_link(payload, tus, caps);
-  std::lock_guard<std::mutex> lock(impl_->mu);
-  const auto it = impl_->entries.find(key);
+  if (found) {
+    links_.find(
+        key,
+        [&exe](Link& link) {
+          if (link.exe.has_value()) return;
+          if (exe.has_value()) {
+            link.exe = *exe;  // upgrade: later lookups are in-memory hits
+          } else {
+            // Corrupt/stale payload: drop it so later lookups miss cheaply.
+            link.payload.clear();
+          }
+        },
+        /*touch=*/false);
+  }
   if (!exe.has_value()) {
-    // Corrupt/stale payload: drop it so later lookups miss cheaply.
-    if (it != impl_->entries.end() && !it->second.exe.has_value()) {
-      it->second.payload.clear();
-    }
-    impl_->misses.fetch_add(1, std::memory_order_relaxed);
+    misses_.fetch_add(1, std::memory_order_relaxed);
     return std::nullopt;
   }
-  if (it != impl_->entries.end() && !it->second.exe.has_value()) {
-    it->second.exe = *exe;  // upgrade: later lookups are in-memory hits
-  }
-  impl_->persisted_hits.fetch_add(1, std::memory_order_relaxed);
+  persisted_hits_.fetch_add(1, std::memory_order_relaxed);
   return exe;
 }
 
 void LinkCache::record(std::uint64_t key, const execsim::Executable& exe) {
   if (!exe.ok()) return;  // failed links re-run through the real linker
-  std::lock_guard<std::mutex> lock(impl_->mu);
-  auto& entry = impl_->entries[key];
-  entry.last_used = impl_->tick();
-  if (entry.exe.has_value()) return;  // links are pure: first copy wins
-  entry.exe = exe;
-  impl_->bound_locked();
-}
-
-std::size_t LinkCache::hits() const noexcept { return impl_->hits.load(); }
-std::size_t LinkCache::persisted_hits() const noexcept {
-  return impl_->persisted_hits.load();
-}
-std::size_t LinkCache::misses() const noexcept {
-  return impl_->misses.load();
-}
-std::size_t LinkCache::lookups() const noexcept {
-  return hits() + persisted_hits() + misses();
-}
-
-std::size_t LinkCache::size() const {
-  std::lock_guard<std::mutex> lock(impl_->mu);
-  return impl_->entries.size();
+  // Links are pure: the first recorded copy wins.
+  links_.insert(key, Link{exe, {}}, [&exe](Link& link) {
+    if (!link.exe.has_value()) link.exe = exe;
+  });
 }
 
 void LinkCache::clear() {
-  std::lock_guard<std::mutex> lock(impl_->mu);
-  impl_->entries.clear();
-  impl_->hits.store(0);
-  impl_->persisted_hits.store(0);
-  impl_->misses.store(0);
-}
-
-void LinkCache::set_capacity(std::size_t max_entries) {
-  impl_->capacity.store(std::max<std::size_t>(1, max_entries),
-                        std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lock(impl_->mu);
-  impl_->bound_locked();
-}
-
-bool LinkCache::load_records(cache::Store& store, std::uint64_t version,
-                             bool published) {
-  return store.replay(
-      kStream, minic::obj_stream_version(version),
-      [this, published](const Json& j) {
-        std::uint64_t key = 0;
-        if (!support::u64_from_hex(j["key"].as_string(), &key)) return;
-        std::string payload;
-        if (!j["payload"].is_string() ||
-            !support::base64_decode(j["payload"].as_string(), &payload)) {
-          return;
-        }
-        std::lock_guard<std::mutex> lock(impl_->mu);
-        auto& entry = impl_->entries[key];
-        entry.payload = std::move(payload);  // journal replay: last wins
-        entry.published = published;
-        if (entry.last_used == 0) entry.last_used = impl_->tick();
-        impl_->bound_locked();
-      });
+  links_.clear();
+  hits_.store(0);
+  persisted_hits_.store(0);
+  misses_.store(0);
 }
 
 bool LinkCache::attach(cache::Store& store, std::uint64_t version) {
-  impl_->store = &store;
-  impl_->store_version = version;
-  return load_records(store, version, /*published=*/true);
+  return links_.attach(store, minic::obj_stream_version(version));
 }
 
 bool LinkCache::import_store(cache::Store& store, std::uint64_t version) {
-  return load_records(store, version, /*published=*/false);
+  return links_.import_store(store, minic::obj_stream_version(version));
 }
 
-std::size_t LinkCache::flush() {
-  Impl& impl = *impl_;
-  if (impl.store == nullptr) return 0;
-  struct Pending {
-    std::uint64_t key = 0;
-    std::string payload;                      // forwarded or encoded
-    std::optional<execsim::Executable> exe;   // encode this if set
-  };
-  std::vector<Pending> pending;
-  {
-    std::lock_guard<std::mutex> lock(impl.mu);
-    for (auto& [key, entry] : impl.entries) {
-      if (entry.published) continue;
-      Pending p;
-      p.key = key;
-      if (!entry.payload.empty()) {
-        p.payload = entry.payload;
-      } else if (entry.exe.has_value()) {
-        p.exe = entry.exe;  // shallow shares: encode outside the lock
-      } else {
-        continue;
-      }
-      pending.push_back(std::move(p));
-    }
-  }
-  std::sort(pending.begin(), pending.end(),
-            [](const Pending& a, const Pending& b) { return a.key < b.key; });
-
-  std::vector<Json> records;
-  std::vector<std::uint64_t> appended;
-  records.reserve(pending.size());
-  for (Pending& p : pending) {
-    if (p.payload.empty()) {
-      p.payload = encode_link(*p.exe);
-      if (p.payload.empty()) continue;  // unencodable: skip, never torn
-    }
-    Json j = Json::object();
-    j.set("key", support::u64_to_hex(p.key));
-    j.set("payload", support::base64_encode(p.payload));
-    records.push_back(std::move(j));
-    appended.push_back(p.key);
-  }
-
-  const std::uint64_t version =
-      minic::obj_stream_version(impl.store_version);
-  if (!impl.store->append_batch(kStream, version, records)) return 0;
-
-  {
-    std::lock_guard<std::mutex> lock(impl.mu);
-    for (const std::uint64_t key : appended) {
-      const auto it = impl.entries.find(key);
-      if (it != impl.entries.end()) it->second.published = true;
-    }
-  }
-  impl.store->maybe_compact(kStream, version);
-  return appended.size();
-}
+std::size_t LinkCache::flush() { return links_.flush(); }
 
 Json LinkCache::stats() const {
   Json j = Json::object();

@@ -23,9 +23,11 @@
 // stream, written under minic::obj_stream_version so a codec bump
 // cold-starts it together with "obj1".
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "execsim/driver.hpp"
@@ -34,13 +36,9 @@
 
 namespace pareval::buildsim {
 
+/// A one-lock, LRU-bounded cache::Layer of link outcomes.
 class LinkCache {
  public:
-  LinkCache();
-  ~LinkCache();
-  LinkCache(const LinkCache&) = delete;
-  LinkCache& operator=(const LinkCache&) = delete;
-
   /// The link key: capability bits + the ordered TU content keys,
   /// length-delimited. Callers must only use it when every TU of the link
   /// carried a nonzero content key.
@@ -68,14 +66,20 @@ class LinkCache {
 
   /// Counters, mirroring the TU layer: hits() in-memory, persisted_hits()
   /// payload decodes, misses() cold links through this cache.
-  std::size_t hits() const noexcept;
-  std::size_t persisted_hits() const noexcept;
-  std::size_t misses() const noexcept;
-  std::size_t lookups() const noexcept;
+  std::size_t hits() const noexcept { return hits_.load(); }
+  std::size_t persisted_hits() const noexcept {
+    return persisted_hits_.load();
+  }
+  std::size_t misses() const noexcept { return misses_.load(); }
+  std::size_t lookups() const noexcept {
+    return hits() + persisted_hits() + misses();
+  }
 
-  std::size_t size() const;
+  std::size_t size() const { return links_.size(); }
   void clear();
-  void set_capacity(std::size_t max_entries);
+  void set_capacity(std::size_t max_entries) {
+    links_.set_capacity(max_entries);
+  }
 
   /// Journaled-store stream ("lnk1"), written under
   /// minic::obj_stream_version(version) like the TU layer's "obj1".
@@ -97,10 +101,18 @@ class LinkCache {
   support::Json stats() const;
 
  private:
-  struct Impl;
-  bool load_records(cache::Store& store, std::uint64_t version,
-                    bool published);
-  std::unique_ptr<Impl> impl_;
+  /// A recorded link: the live outcome (sharing the TUs), or the
+  /// serialized payload a replay loaded.
+  struct Link {
+    std::optional<execsim::Executable> exe;
+    std::string payload;
+  };
+  struct Codec;  // the "lnk1" record codec
+
+  cache::Layer<Link, 1, Codec> links_{1 << 12};
+  std::atomic<std::size_t> hits_{0};
+  std::atomic<std::size_t> persisted_hits_{0};
+  std::atomic<std::size_t> misses_{0};
 };
 
 }  // namespace pareval::buildsim

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <fstream>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <unordered_map>
 
@@ -178,6 +179,19 @@ struct TuCompileCache::Impl {
     bool obj_published = false;  // obj payload already in the "obj1" stream
   };
 
+  /// Names one entry across a flush: its key, its manifest's serialized
+  /// identity (the order entries sharing a key are appended in), and the
+  /// manifest itself, by which the entry is found again to be marked.
+  struct EntryRef {
+    std::uint64_t key = 0;
+    std::string order;
+    const Manifest* manifest = nullptr;
+
+    bool operator<(const EntryRef& o) const {
+      return key != o.key ? key < o.key : order < o.order;
+    }
+  };
+
   struct Shard {
     mutable std::mutex mu;
     std::unordered_map<std::uint64_t, std::vector<Entry>> groups;
@@ -191,8 +205,45 @@ struct TuCompileCache::Impl {
     std::string log;
     DiagBag diags;
     std::vector<std::uint64_t> tus;  // compile-plan digest, command order
-    std::uint64_t last_used = 0;
-    bool published = false;
+  };
+
+  /// The "tuplan" record codec.
+  struct PlanCodec {
+    static constexpr const char* kStream = kPlanStream;
+
+    static std::optional<Json> encode(std::uint64_t key, const Plan& plan) {
+      Json j = Json::object();
+      j.set("key", support::u64_to_hex(key));
+      j.set("ok", plan.ok);
+      j.set("build_system", plan.build_system);
+      j.set("caps", caps_to_bits(plan.caps));
+      j.set("log", plan.log);
+      Json keys = Json::array();
+      for (const std::uint64_t k : plan.tus) {
+        keys.push_back(support::u64_to_hex(k));
+      }
+      j.set("tus", std::move(keys));
+      j.set("diags", diags_to_json(plan.diags));
+      return j;
+    }
+
+    static bool decode(const Json& j, std::uint64_t* key, Plan* out) {
+      if (!support::u64_from_hex(j["key"].as_string(), key)) return false;
+      if (!j["ok"].is_bool() || !j["build_system"].is_string() ||
+          !j["caps"].is_number() || !j["log"].is_string()) {
+        return false;
+      }
+      out->ok = j["ok"].as_bool();
+      out->build_system = j["build_system"].as_string();
+      out->caps = caps_from_bits(j["caps"].as_int());
+      out->log = j["log"].as_string();
+      for (const Json& k : j["tus"].items()) {
+        std::uint64_t tu_key = 0;
+        if (!support::u64_from_hex(k.as_string(), &tu_key)) return false;
+        out->tus.push_back(tu_key);
+      }
+      return diags_from_json(j["diags"], &out->diags);
+    }
   };
 
   std::size_t shard_capacity() const noexcept {
@@ -230,20 +281,6 @@ struct TuCompileCache::Impl {
     return true;
   }
 
-  /// Evict least-recently-used plans past the capacity bound. Caller
-  /// holds plans_mu.
-  void bound_plans_locked() {
-    const std::size_t bound = std::max<std::size_t>(
-        kShards, capacity.load(std::memory_order_relaxed));
-    while (plans.size() > bound) {
-      auto victim = plans.begin();
-      for (auto it = std::next(victim); it != plans.end(); ++it) {
-        if (it->second.last_used < victim->second.last_used) victim = it;
-      }
-      plans.erase(victim);
-    }
-  }
-
   /// Exactly the `order` string entry_json emits — the manifest's
   /// serialized identity (and sort tiebreaker for entries sharing a key).
   static std::string manifest_order(const Manifest& manifest) {
@@ -262,30 +299,23 @@ struct TuCompileCache::Impl {
     return support::stable_hash(manifest_order(manifest));
   }
 
-  /// The TU layer's "tu" record codec. `order_out` (optional) receives the
-  /// manifest tiebreaker string used to sort entries sharing a key.
-  static Json entry_json(std::uint64_t key, const Entry& entry,
-                         std::string* order_out) {
+  /// The TU layer's "tu" record codec.
+  static Json entry_json(std::uint64_t key, const Entry& entry) {
     Json j = Json::object();
     j.set("key", support::u64_to_hex(key));
     const bool ok =
         entry.tu != nullptr ? !entry.tu->diags.has_errors() : entry.ok;
     j.set("ok", ok);
     Json deps = Json::array();
-    std::string order;
     for (const Dep& dep : entry.manifest->deps) {
       Json d = Json::object();
       d.set("path", dep.path);
       d.set("hash", support::u64_to_hex(dep.hash));
       deps.push_back(std::move(d));
-      order += dep.path + "\x01" + support::u64_to_hex(dep.hash) + "\x01";
     }
     j.set("deps", std::move(deps));
     Json missing = Json::array();
-    for (const std::string& m : entry.manifest->missing) {
-      missing.push_back(m);
-      order += "\x02" + m;
-    }
+    for (const std::string& m : entry.manifest->missing) missing.push_back(m);
     j.set("missing", std::move(missing));
     Json headers = Json::array();
     const auto& system_headers = entry.tu != nullptr
@@ -295,7 +325,6 @@ struct TuCompileCache::Impl {
     j.set("system_headers", std::move(headers));
     j.set("diags", diags_to_json(entry.tu != nullptr ? entry.tu->diags
                                                      : entry.diags));
-    if (order_out != nullptr) *order_out = std::move(order);
     return j;
   }
 
@@ -329,43 +358,6 @@ struct TuCompileCache::Impl {
     return true;
   }
 
-  static Json plan_json(std::uint64_t key, const Plan& plan) {
-    Json j = Json::object();
-    j.set("key", support::u64_to_hex(key));
-    j.set("ok", plan.ok);
-    j.set("build_system", plan.build_system);
-    j.set("caps", caps_to_bits(plan.caps));
-    j.set("log", plan.log);
-    Json keys = Json::array();
-    for (const std::uint64_t k : plan.tus) {
-      keys.push_back(support::u64_to_hex(k));
-    }
-    j.set("tus", std::move(keys));
-    j.set("diags", diags_to_json(plan.diags));
-    return j;
-  }
-
-  static bool parse_plan(const Json& j, std::uint64_t* key, Plan* out) {
-    if (!support::u64_from_hex(j["key"].as_string(), key)) return false;
-    if (!j["ok"].is_bool() || !j["build_system"].is_string() ||
-        !j["caps"].is_number() || !j["log"].is_string()) {
-      return false;
-    }
-    Plan plan;
-    plan.ok = j["ok"].as_bool();
-    plan.build_system = j["build_system"].as_string();
-    plan.caps = caps_from_bits(j["caps"].as_int());
-    plan.log = j["log"].as_string();
-    for (const Json& k : j["tus"].items()) {
-      std::uint64_t tu_key = 0;
-      if (!support::u64_from_hex(k.as_string(), &tu_key)) return false;
-      plan.tus.push_back(tu_key);
-    }
-    if (!diags_from_json(j["diags"], &plan.diags)) return false;
-    *out = std::move(plan);
-    return true;
-  }
-
   /// Insert a deserialized outcome-only entry; an entry already present
   /// for the same (key, manifest) wins — compiles are pure, so it holds
   /// the same outcome (and possibly a live TU).
@@ -381,14 +373,6 @@ struct TuCompileCache::Impl {
     group.push_back(std::move(entry));
     ++shard.count;
     evict_locked(shard, shard_capacity());
-  }
-
-  void insert_loaded_plan(std::uint64_t key, Plan plan, bool published) {
-    plan.published = published;
-    plan.last_used = tick();
-    std::lock_guard<std::mutex> lock(plans_mu);
-    plans.emplace(key, std::move(plan));  // existing entry wins
-    bound_plans_locked();
   }
 
   static void evict_locked(Shard& shard, std::size_t bound) {
@@ -413,9 +397,125 @@ struct TuCompileCache::Impl {
     }
   }
 
+  /// Replay the "tu" stream, then the "obj1" stream whose records attach
+  /// warm objects to its entries. Each object record names its entry by
+  /// (key, manifest digest); the payload stays serialized until the entry
+  /// actually hits — validation against the repo happens through the
+  /// manifest exactly as before, and decode failures degrade to a
+  /// recompile.
+  bool replay_entries(cache::Store& store, std::uint64_t version,
+                      bool published) {
+    const bool tu_ok = store.replay(kTuStream, version, [&](const Json& j) {
+      std::uint64_t key = 0;
+      Entry entry;
+      if (parse_entry(j, &key, &entry)) {
+        insert_loaded_entry(key, std::move(entry), published);
+      }
+    });
+    const bool obj_ok = store.replay(
+        kObjStream, minic::obj_stream_version(version), [&](const Json& j) {
+          std::uint64_t key = 0;
+          std::uint64_t digest = 0;
+          std::string payload;
+          if (!support::u64_from_hex(j["key"].as_string(), &key) ||
+              !support::u64_from_hex(j["mf"].as_string(), &digest) ||
+              !j["payload"].is_string() ||
+              !support::base64_decode(j["payload"].as_string(), &payload)) {
+            return;
+          }
+          Shard& shard = shards[key % kShards];
+          std::lock_guard<std::mutex> lock(shard.mu);
+          const auto git = shard.groups.find(key);
+          if (git == shard.groups.end()) return;
+          for (Entry& entry : git->second) {
+            if (manifest_digest(*entry.manifest) != digest) continue;
+            entry.obj = std::move(payload);  // journal replay: last wins
+            entry.obj_published = published;
+            break;
+          }
+        });
+    return tu_ok && obj_ok;
+  }
+
+  /// Set `flag` (published or obj_published) on the entry `ref` names, if
+  /// it is still cached.
+  void mark(const EntryRef& ref, bool Entry::*flag) {
+    Shard& shard = shards[ref.key % kShards];
+    std::lock_guard<std::mutex> lock(shard.mu);
+    const auto git = shard.groups.find(ref.key);
+    if (git == shard.groups.end()) return;
+    for (Entry& entry : git->second) {
+      if (entry.manifest.get() == ref.manifest) {
+        entry.*flag = true;
+        return;
+      }
+    }
+  }
+
+  /// Publish the TU outcomes the bound store has not seen to "tu", and
+  /// the warm objects it has not seen to "obj1": compiled live here, or
+  /// replayed from another store via import_store (their payload forwards
+  /// verbatim). Objects serialize outside the shard locks — TUs are
+  /// immutable after sema.
+  std::size_t flush_entries(cache::Store& store, std::uint64_t version) {
+    struct Obj {
+      std::string payload;                        // pre-serialized, if any
+      std::shared_ptr<const TranslationUnit> tu;  // encode this otherwise
+    };
+    std::vector<std::pair<EntryRef, Json>> outcomes;
+    std::vector<std::pair<EntryRef, Obj>> objs;
+    for (Shard& shard : shards) {
+      std::lock_guard<std::mutex> lock(shard.mu);
+      for (const auto& [key, group] : shard.groups) {
+        for (const Entry& entry : group) {
+          const bool live_ok =
+              entry.tu != nullptr && !entry.tu->diags.has_errors();
+          const bool obj_pending =
+              !entry.obj_published && (!entry.obj.empty() || live_ok);
+          if (entry.published && !obj_pending) continue;
+          EntryRef ref{key, manifest_order(*entry.manifest),
+                       entry.manifest.get()};
+          if (!entry.published) {
+            outcomes.emplace_back(ref, entry_json(key, entry));
+          }
+          if (obj_pending) {
+            objs.emplace_back(std::move(ref),
+                              Obj{entry.obj, entry.obj.empty() ? entry.tu
+                                                               : nullptr});
+          }
+        }
+      }
+    }
+    const std::size_t n = cache::publish(
+        store, kTuStream, version, std::move(outcomes),
+        [](const EntryRef&, Json& j) {
+          return std::optional<Json>(std::move(j));
+        },
+        [this](const EntryRef& ref) { mark(ref, &Entry::published); });
+    return n + cache::publish(
+                   store, kObjStream, minic::obj_stream_version(version),
+                   std::move(objs),
+                   [](const EntryRef& ref, Obj& obj) {
+                     if (obj.payload.empty()) {
+                       obj.payload = minic::encode_tu(*obj.tu);
+                     }
+                     Json j = Json::object();
+                     j.set("key", support::u64_to_hex(ref.key));
+                     j.set("mf", support::u64_to_hex(
+                                     support::stable_hash(ref.order)));
+                     j.set("payload", support::base64_encode(obj.payload));
+                     return std::optional<Json>(std::move(j));
+                   },
+                   [this](const EntryRef& ref) {
+                     mark(ref, &Entry::obj_published);
+                   });
+  }
+
   std::array<Shard, kShards> shards;
-  mutable std::mutex plans_mu;
-  std::unordered_map<std::uint64_t, Plan> plans;
+  /// Whole-build plans: one lock, bounded like the TU entries.
+  cache::Layer<Plan, 1, PlanCodec> plans{1 << 14};
+  /// The store the TU and object streams are bound to.
+  cache::Binding binding;
   std::atomic<std::size_t> hits{0};
   std::atomic<std::size_t> persisted_hits{0};
   std::atomic<std::size_t> obj_hits{0};
@@ -424,8 +524,6 @@ struct TuCompileCache::Impl {
   std::atomic<bool> object_layer{true};
   std::atomic<std::uint64_t> clock{0};
   std::atomic<std::size_t> capacity{1 << 14};
-  cache::Store* store = nullptr;  // attached journal store (optional)
-  std::uint64_t store_version = 0;
 };
 
 TuCompileCache::TuCompileCache() : impl_(new Impl) {}
@@ -578,21 +676,20 @@ std::shared_ptr<TranslationUnit> TuCompileCache::compile(
 
 bool TuCompileCache::lookup_failed_plan(std::uint64_t plan_key,
                                         BuildResult* out) {
-  std::lock_guard<std::mutex> lock(impl_->plans_mu);
-  const auto it = impl_->plans.find(plan_key);
-  if (it == impl_->plans.end()) return false;
-  Impl::Plan& plan = it->second;
-  plan.last_used = impl_->tick();
-  if (plan.ok) return false;  // live executable required: rebuild
-  BuildResult result;
-  result.ok = false;
-  result.diags = plan.diags;
-  result.log = plan.log;
-  result.caps = plan.caps;
-  result.build_system = plan.build_system;
-  *out = std::move(result);
-  impl_->plan_hits.fetch_add(1, std::memory_order_relaxed);
-  return true;
+  bool failed = false;
+  impl_->plans.find(plan_key, [&](const Impl::Plan& plan) {
+    if (plan.ok) return;  // live executable required: rebuild
+    BuildResult result;
+    result.ok = false;
+    result.diags = plan.diags;
+    result.log = plan.log;
+    result.caps = plan.caps;
+    result.build_system = plan.build_system;
+    *out = std::move(result);
+    failed = true;
+  });
+  if (failed) impl_->plan_hits.fetch_add(1, std::memory_order_relaxed);
+  return failed;
 }
 
 void TuCompileCache::record_plan(std::uint64_t plan_key,
@@ -606,24 +703,12 @@ void TuCompileCache::record_plan(std::uint64_t plan_key,
     // still dedupe).
     return;
   }
-  std::lock_guard<std::mutex> lock(impl_->plans_mu);
-  const auto it = impl_->plans.find(plan_key);
-  if (it != impl_->plans.end()) {
-    // Builds are pure: a re-recorded plan is identical, so keep the
-    // existing entry (and its published flag) and just refresh it.
-    it->second.last_used = impl_->tick();
-    return;
-  }
-  Impl::Plan plan;
-  plan.ok = result.ok;
-  plan.build_system = result.build_system;
-  plan.caps = result.caps;
-  plan.log = result.log;
-  plan.diags = result.diags;
-  plan.tus = std::move(tu_keys);
-  plan.last_used = impl_->tick();
-  impl_->plans.emplace(plan_key, std::move(plan));
-  impl_->bound_plans_locked();
+  // Builds are pure: a re-recorded plan is identical, so an existing
+  // entry (and its published flag) is kept and just refreshed.
+  impl_->plans.insert(plan_key,
+                      Impl::Plan{result.ok, result.build_system, result.caps,
+                                 result.log, result.diags,
+                                 std::move(tu_keys)});
 }
 
 std::size_t TuCompileCache::hits() const noexcept {
@@ -655,7 +740,6 @@ std::size_t TuCompileCache::size() const {
 }
 
 std::size_t TuCompileCache::plan_count() const {
-  std::lock_guard<std::mutex> lock(impl_->plans_mu);
   return impl_->plans.size();
 }
 
@@ -665,10 +749,7 @@ void TuCompileCache::clear() {
     shard.groups.clear();
     shard.count = 0;
   }
-  {
-    std::lock_guard<std::mutex> lock(impl_->plans_mu);
-    impl_->plans.clear();
-  }
+  impl_->plans.clear();
   impl_->hits.store(0);
   impl_->persisted_hits.store(0);
   impl_->obj_hits.store(0);
@@ -683,8 +764,7 @@ void TuCompileCache::set_capacity(std::size_t max_entries) {
     std::lock_guard<std::mutex> lock(shard.mu);
     Impl::evict_locked(shard, impl_->shard_capacity());
   }
-  std::lock_guard<std::mutex> lock(impl_->plans_mu);
-  impl_->bound_plans_locked();
+  impl_->plans.set_capacity(std::max(max_entries, Impl::kShards));
 }
 
 void TuCompileCache::set_object_layer(bool on) noexcept {
@@ -696,209 +776,27 @@ bool TuCompileCache::object_layer() const noexcept {
 
 // --- persistence ------------------------------------------------------------
 
-bool TuCompileCache::load_records(cache::Store& store,
-                                  std::uint64_t version, bool published) {
-  const bool tu_ok =
-      store.replay(kTuStream, version, [this, published](const Json& j) {
-        std::uint64_t key = 0;
-        Impl::Entry entry;
-        if (!Impl::parse_entry(j, &key, &entry)) return;
-        impl_->insert_loaded_entry(key, std::move(entry), published);
-      });
-  const bool plan_ok =
-      store.replay(kPlanStream, version, [this, published](const Json& j) {
-        std::uint64_t key = 0;
-        Impl::Plan plan;
-        if (!Impl::parse_plan(j, &key, &plan)) return;
-        impl_->insert_loaded_plan(key, std::move(plan), published);
-      });
-  // Warm objects replay after the TU stream they extend: each record
-  // names its entry by (key, manifest digest) and attaches the payload
-  // to it. The payload stays serialized until the entry actually hits —
-  // validation against the repo happens through the manifest exactly as
-  // before, and decode failures degrade to a recompile.
-  const bool obj_ok = store.replay(
-      kObjStream, minic::obj_stream_version(version),
-      [this, published](const Json& j) {
-        std::uint64_t key = 0;
-        std::uint64_t digest = 0;
-        if (!support::u64_from_hex(j["key"].as_string(), &key)) return;
-        if (!support::u64_from_hex(j["mf"].as_string(), &digest)) return;
-        std::string payload;
-        if (!j["payload"].is_string() ||
-            !support::base64_decode(j["payload"].as_string(), &payload)) {
-          return;
-        }
-        Impl::Shard& shard = impl_->shards[key % Impl::kShards];
-        std::lock_guard<std::mutex> lock(shard.mu);
-        const auto git = shard.groups.find(key);
-        if (git == shard.groups.end()) return;
-        for (Impl::Entry& entry : git->second) {
-          if (Impl::manifest_digest(*entry.manifest) != digest) continue;
-          entry.obj = std::move(payload);  // journal replay: last wins
-          entry.obj_published = published;
-          break;
-        }
-      });
-  return tu_ok && plan_ok && obj_ok;
-}
-
 bool TuCompileCache::attach(cache::Store& store, std::uint64_t version) {
-  impl_->store = &store;
-  impl_->store_version = version;
-  return load_records(store, version, /*published=*/true);
+  const bool entries = impl_->binding.attach(store, version, [&] {
+    return impl_->replay_entries(store, version, /*published=*/true);
+  });
+  const bool plans = impl_->plans.attach(store, version);
+  return entries && plans;
 }
 
 bool TuCompileCache::import_store(cache::Store& store,
                                   std::uint64_t version) {
-  return load_records(store, version, /*published=*/false);
+  const bool entries =
+      impl_->replay_entries(store, version, /*published=*/false);
+  const bool plans = impl_->plans.import_store(store, version);
+  return entries && plans;
 }
 
 std::size_t TuCompileCache::flush() {
-  Impl& impl = *impl_;
-  if (impl.store == nullptr) return 0;
-  // Everything the attached store has not seen, in a deterministic order
-  // (key, then manifest). The manifest pointer identifies each entry
-  // again after the append (entries are never mutated in place, only
-  // evicted).
-  struct Pending {
-    std::uint64_t key = 0;
-    std::string order;
-    Json json;
-    std::shared_ptr<const Impl::Manifest> manifest;
-  };
-  std::vector<Pending> tus;
-  for (auto& shard : impl.shards) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    for (auto& [key, group] : shard.groups) {
-      for (Impl::Entry& entry : group) {
-        if (entry.published) continue;
-        std::string order;
-        Json j = Impl::entry_json(key, entry, &order);
-        tus.push_back(
-            {key, std::move(order), std::move(j), entry.manifest});
-      }
-    }
-  }
-  std::sort(tus.begin(), tus.end(), [](const Pending& a, const Pending& b) {
-    return a.key != b.key ? a.key < b.key : a.order < b.order;
-  });
-
-  std::vector<std::pair<std::uint64_t, Json>> plans;
-  {
-    std::lock_guard<std::mutex> lock(impl.plans_mu);
-    for (const auto& [key, plan] : impl.plans) {
-      if (plan.published) continue;
-      plans.emplace_back(key, Impl::plan_json(key, plan));
-    }
-  }
-  std::sort(plans.begin(), plans.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-
-  // Warm objects for successful TUs the "obj1" stream has not seen:
-  // compiled live here, or replayed from another store via import_store
-  // (their payload forwards verbatim). Serialization runs outside the
-  // shard locks — TUs are immutable after sema.
-  struct PendingObj {
-    std::uint64_t key = 0;
-    std::string order;
-    std::string payload;                       // pre-serialized, if any
-    std::shared_ptr<const TranslationUnit> tu;  // encode this otherwise
-    std::shared_ptr<const Impl::Manifest> manifest;
-  };
-  std::vector<PendingObj> objs;
-  for (auto& shard : impl.shards) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    for (auto& [key, group] : shard.groups) {
-      for (Impl::Entry& entry : group) {
-        if (entry.obj_published) continue;
-        const bool live_ok =
-            entry.tu != nullptr && !entry.tu->diags.has_errors();
-        if (entry.obj.empty() && !live_ok) continue;
-        PendingObj p;
-        p.key = key;
-        p.order = Impl::manifest_order(*entry.manifest);
-        p.payload = entry.obj;
-        if (p.payload.empty()) p.tu = entry.tu;
-        p.manifest = entry.manifest;
-        objs.push_back(std::move(p));
-      }
-    }
-  }
-  std::sort(objs.begin(), objs.end(),
-            [](const PendingObj& a, const PendingObj& b) {
-              return a.key != b.key ? a.key < b.key : a.order < b.order;
-            });
-  std::vector<Json> obj_records;
-  obj_records.reserve(objs.size());
-  for (PendingObj& p : objs) {
-    if (p.payload.empty()) p.payload = minic::encode_tu(*p.tu);
-    Json j = Json::object();
-    j.set("key", support::u64_to_hex(p.key));
-    j.set("mf", support::u64_to_hex(support::stable_hash(p.order)));
-    j.set("payload", support::base64_encode(p.payload));
-    obj_records.push_back(std::move(j));
-  }
-
-  std::vector<Json> tu_records;
-  tu_records.reserve(tus.size());
-  for (auto& p : tus) tu_records.push_back(std::move(p.json));
-  std::vector<Json> plan_records;
-  plan_records.reserve(plans.size());
-  for (auto& [key, j] : plans) plan_records.push_back(std::move(j));
-
-  // Empty batches still stamp the stream index, so a first flush seeds
-  // the store under the right pipeline version either way.
-  if (!impl.store->append_batch(kTuStream, impl.store_version,
-                                tu_records)) {
-    return 0;
-  }
-  if (!impl.store->append_batch(kPlanStream, impl.store_version,
-                                plan_records)) {
-    return 0;
-  }
-  const std::uint64_t obj_version =
-      minic::obj_stream_version(impl.store_version);
-  if (!impl.store->append_batch(kObjStream, obj_version, obj_records)) {
-    return 0;
-  }
-
-  for (const Pending& p : tus) {
-    Impl::Shard& shard = impl.shards[p.key % Impl::kShards];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    const auto git = shard.groups.find(p.key);
-    if (git == shard.groups.end()) continue;
-    for (Impl::Entry& entry : git->second) {
-      if (entry.manifest == p.manifest) {
-        entry.published = true;
-        break;
-      }
-    }
-  }
-  {
-    std::lock_guard<std::mutex> lock(impl.plans_mu);
-    for (const auto& [key, j] : plans) {
-      const auto it = impl.plans.find(key);
-      if (it != impl.plans.end()) it->second.published = true;
-    }
-  }
-  for (const PendingObj& p : objs) {
-    Impl::Shard& shard = impl.shards[p.key % Impl::kShards];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    const auto git = shard.groups.find(p.key);
-    if (git == shard.groups.end()) continue;
-    for (Impl::Entry& entry : git->second) {
-      if (entry.manifest == p.manifest) {
-        entry.obj_published = true;
-        break;
-      }
-    }
-  }
-
-  impl.store->maybe_compact(kTuStream, impl.store_version);
-  impl.store->maybe_compact(kPlanStream, impl.store_version);
-  impl.store->maybe_compact(kObjStream, obj_version);
-  return tus.size() + plans.size() + objs.size();
+  cache::Store* store = impl_->binding.store();
+  if (store == nullptr) return 0;
+  return impl_->flush_entries(*store, impl_->binding.version()) +
+         impl_->plans.flush();
 }
 
 Json TuCompileCache::stats() const {

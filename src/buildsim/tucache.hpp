@@ -172,20 +172,21 @@ class TuCompileCache {
   /// cold-starts exactly this stream.
   static constexpr const char* kObjStream = "obj1";
 
-  /// Bind this cache to a shared cache::Store and replay its "tu" and
-  /// "tuplan" streams into memory (entries already here win — outcomes
-  /// are pure). flush() appends to the attached store from then on.
-  /// Returns false iff the store's streams are absent or stale (the
-  /// cache still works; flush() will seed them).
+  /// Bind this cache to a shared cache::Store and replay its "tu",
+  /// "tuplan" and "obj1" streams into memory (entries already here win —
+  /// outcomes are pure). flush() appends to the attached store from then
+  /// on. Returns false iff the store's streams are absent or stale (the
+  /// cache still works; flush() will seed them). Attaching again to the
+  /// store it is bound to replays nothing and returns the first answer.
   bool attach(cache::Store& store, std::uint64_t version);
   /// Replay another store's streams into memory WITHOUT binding to it:
   /// imported records are not marked as published in the attached store,
   /// so a later flush() forwards them — the fan-in merge primitive.
   bool import_store(cache::Store& store, std::uint64_t version);
-  /// Append every TU outcome and plan the attached store has not seen
-  /// (compiled/recorded here, or folded in via import_store), as one
-  /// locked batch per stream, then compact if past the byte threshold.
-  /// Returns the number of records appended (0 when detached).
+  /// Append every TU outcome, plan and warm object the attached store has
+  /// not seen (compiled/recorded here, or folded in via import_store), as
+  /// one locked batch per stream, then compact if past the byte
+  /// threshold. Returns the number of records appended (0 when detached).
   std::size_t flush();
   /// Counters as a JSON object with pinned key order (hits,
   /// persisted_hits, obj_hits, misses, lookups, plan_hits, entries,
@@ -194,10 +195,6 @@ class TuCompileCache {
 
  private:
   struct Impl;
-
-  bool load_records(cache::Store& store, std::uint64_t version,
-                    bool published);
-
   std::unique_ptr<Impl> impl_;
 };
 

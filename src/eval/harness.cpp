@@ -113,79 +113,30 @@ StagedScore ScoreCache::score(const AppSpec& app, const vfs::Repo& repo,
   std::uint64_t key = repo_content_hash(repo);
   key = support::SplitMix64(key ^ support::stable_hash(app.name)).next();
   key = support::SplitMix64(key ^ static_cast<std::uint64_t>(target)).next();
-  Shard& shard = shards_[key % kShards];
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    const auto it = shard.entries.find(key);
-    if (it != shard.entries.end()) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      it->second.last_used =
-          clock_.fetch_add(1, std::memory_order_relaxed) + 1;
-      return it->second.result;
-    }
+  StagedScore result;
+  if (scores_.find(key, [&result](const StagedScore& s) { result = s; })) {
+    hits_.fetch_add(1, std::memory_order_relaxed);
+    return result;
   }
   // Score outside the shard lock: builds are the expensive part, and two
   // threads racing on the same key just compute the same pure result
-  // twice. The pipeline consults the middle (build-artifact) layer, so a
+  // twice. The pipeline consults the build-artifact layer, so a
   // score-layer miss on an already-built artifact skips straight to the
   // Execute/Validate stages; a build-layer miss still dedupes its TU
-  // compiles through the lower (TU) layer.
+  // compiles through the TU layer.
   const bool tu_layer = tu_layer_enabled();
   ScoringPipeline pipeline(
       &builds_, tu_layer ? &tus_ : nullptr,
       tu_layer && object_layer_enabled() ? &links_ : nullptr);
   pipeline.set_engine(engine);
-  StagedScore result = pipeline.score(app, repo, target);
+  result = pipeline.score(app, repo, target);
   misses_.fetch_add(1, std::memory_order_relaxed);
-  insert_entry(key, result, /*published=*/false);
+  scores_.insert(key, result);
   return result;
 }
 
-std::size_t ScoreCache::shard_capacity() const noexcept {
-  const std::size_t cap = capacity_.load(std::memory_order_relaxed);
-  return std::max<std::size_t>(1, cap / kShards);
-}
-
-void ScoreCache::insert_entry(std::uint64_t key, StagedScore result,
-                              bool published, bool keep_existing) {
-  Shard& shard = shards_[key % kShards];
-  const std::uint64_t now =
-      clock_.fetch_add(1, std::memory_order_relaxed) + 1;
-  std::lock_guard<std::mutex> lock(shard.mu);
-  if (keep_existing && shard.entries.count(key) != 0) {
-    // Fan-in import: an entry already here (attached-store replay or a
-    // score computed in-process) wins — scores are pure, so the values
-    // are identical and only the publish-pending flag differs.
-    return;
-  }
-  shard.entries[key] = Entry{std::move(result), now, published};
-  detail::evict_lru_to_bound(shard.entries, shard_capacity());
-}
-
-std::size_t ScoreCache::size() const {
-  std::size_t n = 0;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    n += shard.entries.size();
-  }
-  return n;
-}
-
-void ScoreCache::set_capacity(std::size_t max_entries) {
-  capacity_.store(std::max(max_entries, kShards),
-                  std::memory_order_relaxed);
-  // Apply the new bound immediately instead of waiting for inserts.
-  for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    detail::evict_lru_to_bound(shard.entries, shard_capacity());
-  }
-}
-
 void ScoreCache::clear() {
-  for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    shard.entries.clear();
-  }
+  scores_.clear();
   builds_.clear();
   tus_.clear();
   links_.clear();
@@ -193,75 +144,40 @@ void ScoreCache::clear() {
   misses_.store(0);
 }
 
-namespace {
+/// One StagedScore entry, key last. The field order is pinned so a
+/// stream's bytes are stable across versions.
+struct ScoreCache::Codec {
+  static constexpr const char* kStream = ScoreCache::kStream;
 
-/// The score layer's record codec: one StagedScore entry, key last. The
-/// field order is pinned so a stream's bytes are stable across versions.
-Json score_record(std::uint64_t key, const StagedScore& result) {
-  Json e = to_json(result);
-  e.set("key", support::u64_to_hex(key));
-  return e;
-}
+  static std::optional<Json> encode(std::uint64_t key,
+                                    const StagedScore& result) {
+    Json e = to_json(result);
+    e.set("key", support::u64_to_hex(key));
+    return e;
+  }
 
-bool parse_score_record(const Json& e, std::uint64_t* key,
-                        StagedScore* out) {
-  return support::u64_from_hex(e["key"].as_string(), key) &&
-         from_json(e, out);
-}
-
-}  // namespace
-
-bool ScoreCache::load_records(cache::Store& store, std::uint64_t version,
-                              bool published) {
-  return store.replay(kStream, version, [this, published](const Json& e) {
-    std::uint64_t key = 0;
-    StagedScore r;
-    if (!parse_score_record(e, &key, &r)) return;
-    // Journal replay never clobbers what is already here: records are
-    // append-only, so a later duplicate (another worker scoring the same
-    // key) carries the identical pure score.
-    insert_entry(key, std::move(r), published, /*keep_existing=*/true);
-  });
-}
+  static bool decode(const Json& e, std::uint64_t* key, StagedScore* out) {
+    return support::u64_from_hex(e["key"].as_string(), key) &&
+           from_json(e, out);
+  }
+};
 
 bool ScoreCache::attach(cache::Store& store, std::uint64_t version) {
-  store_ = &store;
-  store_version_ = version;
-  return load_records(store, version, /*published=*/true);
+  const bool warm = scores_.attach(store, version);
+  tus_.attach(store, version);
+  links_.attach(store, version);
+  return warm;
 }
 
 bool ScoreCache::import_store(cache::Store& store, std::uint64_t version) {
-  return load_records(store, version, /*published=*/false);
+  const bool scores = scores_.import_store(store, version);
+  const bool tus = tus_.import_store(store, version);
+  const bool links = links_.import_store(store, version);
+  return scores || tus || links;
 }
 
 std::size_t ScoreCache::flush() {
-  if (store_ == nullptr) return 0;
-  // Everything the attached store has not seen: scored here since
-  // attach(), or folded in via import_store(). Key order makes the batch
-  // deterministic.
-  std::vector<std::pair<std::uint64_t, StagedScore>> pending;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    for (const auto& [key, entry] : shard.entries) {
-      if (!entry.published) pending.emplace_back(key, entry.result);
-    }
-  }
-  std::sort(pending.begin(), pending.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  std::vector<Json> records;
-  records.reserve(pending.size());
-  for (const auto& [key, result] : pending) {
-    records.push_back(score_record(key, result));
-  }
-  if (!store_->append_batch(kStream, store_version_, records)) return 0;
-  for (const auto& [key, result] : pending) {
-    Shard& shard = shards_[key % kShards];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    const auto it = shard.entries.find(key);
-    if (it != shard.entries.end()) it->second.published = true;
-  }
-  store_->maybe_compact(kStream, store_version_);
-  return pending.size();
+  return scores_.flush() + tus_.flush() + links_.flush();
 }
 
 Json ScoreCache::stats() const {

@@ -5,13 +5,10 @@
 // file swapped in), collect failure logs for the classification pipeline,
 // and account tokens.
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "agents/techniques.hpp"
@@ -156,40 +153,43 @@ std::uint64_t scoring_pipeline_hash(const Suite& suite);
 /// when scoring semantics actually change.
 std::uint64_t scoring_pipeline_hash();
 
-/// Three-layer memoization of the staged scoring pipeline, sharded to keep
-/// the harness's parallel samples off one lock.
+/// Four-layer memoization of the staged scoring pipeline. Every layer is a
+/// cache::Layer: sharded maps (16 shards, or one lock), each LRU-bounded.
 ///
-/// Upper (score) layer: full StagedScores keyed by (app name, repo content
-/// hash, target model). Code-only re-scores and repeated golden builds of
+/// Score layer: full StagedScores keyed by (app name, repo content hash,
+/// target model). Code-only re-scores and repeated golden builds of
 /// identical artifacts hit here instead of re-running any stage.
 ///
-/// Middle (build-artifact) layer: a BuildArtifactCache keyed by (app, repo
-/// content hash) — no target — consulted by the pipeline on a score-layer
-/// miss, so scoring one artifact under several targets (or re-validating
-/// after an eviction) shares one build. Per-layer hit/miss counters make
-/// the sharing observable; builds().misses() counts builds performed.
+/// Build-artifact layer: a BuildArtifactCache keyed by (app, repo content
+/// hash) — no target — consulted by the pipeline on a score-layer miss, so
+/// scoring one artifact under several targets (or re-validating after an
+/// eviction) shares one build; builds().misses() counts builds performed.
+/// It holds live executables and stays process-local.
 ///
-/// Lower (TU compile) layer: a buildsim::TuCompileCache, consulted by
-/// every build the middle layer misses. Content-addressed per translation
-/// unit — (source, resolved headers, caps, defines, toolchain) — so two
-/// artifacts that differ only in their build file (the dominant
-/// build-failure defect class) share every TU compile; tus().misses()
-/// counts TU compiles actually performed.
+/// TU compile layer: a buildsim::TuCompileCache, consulted by every build
+/// the layer above misses. Content-addressed per translation unit —
+/// (source, resolved headers, caps, defines, toolchain) — so two artifacts
+/// that differ only in their build file (the dominant build-failure defect
+/// class) share every TU compile; tus().misses() counts TU compiles. It
+/// also records whole-build plans and serialized warm objects.
 ///
-/// The score and TU layers persist through one uniform surface over the
-/// journaled cache::Store, versioned by a scoring-pipeline hash: attach()
-/// warm-replays the layer's record stream and binds the store, flush()
-/// appends what this process computed since (one locked batch; N workers
-/// sharing one store directory need no merge step), and import_store()
-/// folds another store's records in for fan-in replay. Figure
-/// regeneration after a code-only change warm-starts from the previous
-/// run's scores and a warm start skips Build-stage compile work too (the
-/// build-artifact layer holds live executables and stays process-local). Size is bounded: each
-/// shard holds at most capacity/kShards entries and evicts its
-/// least-recently-used entry on overflow.
+/// Link layer: a buildsim::LinkCache of link outcomes with pre-compiled
+/// bytecode, consulted by every link the layers above miss.
+///
+/// This class is the one place that lists which layers persist: attach(),
+/// import_store() and flush() cover all five journaled streams (score;
+/// tu, tuplan and obj1 of the TU layer; lnk1 of the link layer) of a
+/// cache::Store, versioned by a scoring-pipeline hash. The lifecycle is
+/// the same for each: attach() binds the store and warm-replays the
+/// stream, flush() appends what this process computed since (one locked
+/// batch per stream, so N workers sharing one store directory need no
+/// merge step), and import_store() folds another store's records in for
+/// fan-in replay. The per-layer attach() stays public for callers that
+/// persist only some layers; attaching a layer again to the store it is
+/// already bound to returns its first answer without replaying.
 class ScoreCache {
  public:
-  /// ScoringPipeline::score with three-layer memoization. `engine` picks
+  /// ScoringPipeline::score with four-layer memoization. `engine` picks
   /// the Execute-stage backend on a miss; it is deliberately NOT part of
   /// the cache key because engines are bit-identical by contract (a hit
   /// scored under one engine is byte-equal to a re-score under the other).
@@ -199,30 +199,27 @@ class ScoreCache {
 
   std::size_t hits() const noexcept { return hits_.load(); }
   std::size_t misses() const noexcept { return misses_.load(); }
-  std::size_t size() const;
-  /// Clears both layers (and all counters).
+  std::size_t size() const { return scores_.size(); }
+  /// Clears every layer (and all counters).
   void clear();
 
-  /// The middle (build-artifact) layer, for per-layer stats and capacity
-  /// control.
+  /// The build-artifact layer, for per-layer stats and capacity control.
   BuildArtifactCache& builds() noexcept { return builds_; }
   const BuildArtifactCache& builds() const noexcept { return builds_; }
 
-  /// The lower (TU compile) layer: per-layer stats and capacity. It
-  /// shares this cache's attach/flush lifecycle.
+  /// The TU compile layer: per-layer stats and capacity.
   buildsim::TuCompileCache& tus() noexcept { return tus_; }
   const buildsim::TuCompileCache& tus() const noexcept { return tus_; }
 
-  /// The link layer of the warm-object store: content-addressed link
-  /// outcomes with pre-compiled bytecode, consulted by every link the
-  /// layers above miss. Shares the TU layer's attach/flush lifecycle.
+  /// The link layer of the warm-object store.
   buildsim::LinkCache& links() noexcept { return links_; }
   const buildsim::LinkCache& links() const noexcept { return links_; }
 
   /// Thread (or stop threading) the TU layer into the scoring pipeline.
   /// Enabled by default; sweep_merge --verify turns it off for one of its
-  /// reference runs so the staged two-layer and TU-cached configurations
-  /// are gated for bit-identity *independently*.
+  /// reference runs so the staged (score and build-artifact layers only)
+  /// and TU-cached configurations are gated for bit-identity
+  /// *independently*.
   void enable_tu_layer(bool enabled) noexcept {
     tu_enabled_.store(enabled, std::memory_order_relaxed);
   }
@@ -245,31 +242,35 @@ class ScoreCache {
     return object_enabled_.load(std::memory_order_relaxed);
   }
 
-  /// Bound the score-layer entry count (minimum kShards: one entry per
-  /// shard). The build layer has its own set_capacity.
-  void set_capacity(std::size_t max_entries);
+  /// Bound the score-layer entry count (minimum one entry per shard).
+  /// The other layers have their own set_capacity.
+  void set_capacity(std::size_t max_entries) {
+    scores_.set_capacity(max_entries);
+  }
 
-  /// The journal stream name this layer reads/appends in a cache::Store.
+  /// The journal stream name the score layer reads/appends.
   static constexpr const char* kStream = "score";
 
-  /// Bind this cache to a journaled store and warm-replay its "score"
-  /// stream (entries marked published: flush() will not re-append them).
-  /// Returns false — binding anyway, loading nothing — when the stream is
-  /// absent or was written under a different `version` (stale journal).
+  /// Bind every persisted layer to a journaled store and warm-replay its
+  /// streams (entries marked published: flush() will not re-append them).
+  /// Returns whether the score stream was warm — false (binding anyway,
+  /// loading nothing) when it is absent or was written under a different
+  /// `version`. tus().attach() / links().attach() on the same store then
+  /// return those layers' answers.
   bool attach(cache::Store& store,
               std::uint64_t version = scoring_pipeline_hash());
-  /// Replay another store's "score" stream into this cache WITHOUT
+  /// Replay another store's streams into every persisted layer WITHOUT
   /// binding it: records insert if absent and are marked unpublished, so
   /// a following flush() appends them to the attached store — the fan-in
-  /// "replay all worker journals into one published store" step.
+  /// "replay all worker journals into one published store" step. Returns
+  /// whether any stream held current records.
   bool import_store(cache::Store& store,
                     std::uint64_t version = scoring_pipeline_hash());
-  /// Append every entry not yet in the attached store (scored here since
-  /// attach, or folded in via import_store) as one locked journal batch,
-  /// then compact the stream if its journal outgrew the store's
-  /// threshold. Entries append in key order, so two flushes of the same
-  /// state write byte-identical batches. Returns the number of records
-  /// appended (0 when detached or nothing is pending).
+  /// Append every entry the bound store has not seen (computed here since
+  /// attach, or folded in via import_store), one locked batch per stream
+  /// in key order, compacting each stream whose journal outgrew the
+  /// store's threshold. A layer that was never attached appends nothing.
+  /// Returns the records appended across all five streams.
   std::size_t flush();
 
   /// Score-layer counters as JSON with a pinned key order (hits, misses,
@@ -280,26 +281,9 @@ class ScoreCache {
   static ScoreCache& global();
 
  private:
-  static constexpr std::size_t kShards = 16;
-  struct Entry {
-    StagedScore result;
-    std::uint64_t last_used = 0;
-    bool published = false;  // already present in the attached store
-  };
-  struct Shard {
-    mutable std::mutex mu;
-    std::unordered_map<std::uint64_t, Entry> entries;
-  };
+  struct Codec;  // the score layer's record codec
 
-  std::size_t shard_capacity() const noexcept;
-  void insert_entry(std::uint64_t key, StagedScore result, bool published,
-                    bool keep_existing = false);
-  bool load_records(cache::Store& store, std::uint64_t version,
-                    bool published);
-
-  cache::Store* store_ = nullptr;
-  std::uint64_t store_version_ = 0;
-  std::array<Shard, kShards> shards_;
+  cache::Layer<StagedScore, 16, Codec> scores_{1 << 16};
   BuildArtifactCache builds_;
   buildsim::TuCompileCache tus_;
   buildsim::LinkCache links_;
@@ -307,8 +291,6 @@ class ScoreCache {
   std::atomic<bool> object_enabled_{true};
   std::atomic<std::size_t> hits_{0};
   std::atomic<std::size_t> misses_{0};
-  std::atomic<std::uint64_t> clock_{0};
-  std::atomic<std::size_t> capacity_{1 << 16};
 };
 
 /// Everything one sample contributes to its cell's TaskResult.

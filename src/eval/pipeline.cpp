@@ -1,12 +1,8 @@
 #include "eval/pipeline.hpp"
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <chrono>
-#include <iterator>
-#include <mutex>
-#include <unordered_map>
 #include <utility>
 
 #include "buildsim/builder.hpp"
@@ -112,85 +108,21 @@ std::uint64_t build_artifact_key(const apps::AppSpec& app,
 
 // --- BuildArtifactCache -----------------------------------------------------
 
-struct BuildArtifactCache::Impl {
-  static constexpr std::size_t kShards = 16;
-  struct Entry {
-    std::shared_ptr<const buildsim::BuildResult> build;
-    std::uint64_t last_used = 0;
-  };
-  struct Shard {
-    mutable std::mutex mu;
-    std::unordered_map<std::uint64_t, Entry> entries;
-  };
-
-  std::size_t shard_capacity() const noexcept {
-    const std::size_t cap = capacity.load(std::memory_order_relaxed);
-    return std::max<std::size_t>(1, cap / kShards);
-  }
-
-  std::array<Shard, kShards> shards;
-  std::atomic<std::size_t> hits{0};
-  std::atomic<std::size_t> misses{0};
-  std::atomic<std::uint64_t> clock{0};
-  std::atomic<std::size_t> capacity{1 << 12};
-};
-
-BuildArtifactCache::BuildArtifactCache() : impl_(new Impl) {}
-BuildArtifactCache::~BuildArtifactCache() = default;
-
 std::shared_ptr<const buildsim::BuildResult> BuildArtifactCache::lookup(
     std::uint64_t key) {
-  Impl::Shard& shard = impl_->shards[key % Impl::kShards];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  const auto it = shard.entries.find(key);
-  if (it == shard.entries.end()) {
-    impl_->misses.fetch_add(1, std::memory_order_relaxed);
+  std::shared_ptr<const buildsim::BuildResult> build;
+  if (!entries_.find(key, [&build](const auto& b) { build = b; })) {
+    misses_.fetch_add(1, std::memory_order_relaxed);
     return nullptr;
   }
-  impl_->hits.fetch_add(1, std::memory_order_relaxed);
-  it->second.last_used =
-      impl_->clock.fetch_add(1, std::memory_order_relaxed) + 1;
-  return it->second.build;
-}
-
-void BuildArtifactCache::insert(
-    std::uint64_t key, std::shared_ptr<const buildsim::BuildResult> build) {
-  Impl::Shard& shard = impl_->shards[key % Impl::kShards];
-  const std::uint64_t now =
-      impl_->clock.fetch_add(1, std::memory_order_relaxed) + 1;
-  std::lock_guard<std::mutex> lock(shard.mu);
-  shard.entries[key] = Impl::Entry{std::move(build), now};
-  detail::evict_lru_to_bound(shard.entries, impl_->shard_capacity());
-}
-
-std::size_t BuildArtifactCache::hits() const noexcept {
-  return impl_->hits.load();
-}
-std::size_t BuildArtifactCache::misses() const noexcept {
-  return impl_->misses.load();
-}
-
-std::size_t BuildArtifactCache::size() const {
-  std::size_t n = 0;
-  for (const auto& shard : impl_->shards) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    n += shard.entries.size();
-  }
-  return n;
+  hits_.fetch_add(1, std::memory_order_relaxed);
+  return build;
 }
 
 void BuildArtifactCache::clear() {
-  for (auto& shard : impl_->shards) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    shard.entries.clear();
-  }
-  impl_->hits.store(0);
-  impl_->misses.store(0);
-}
-
-void BuildArtifactCache::set_capacity(std::size_t max_entries) {
-  impl_->capacity.store(std::max(max_entries, Impl::kShards),
-                        std::memory_order_relaxed);
+  entries_.clear();
+  hits_.store(0);
+  misses_.store(0);
 }
 
 // --- ScoringPipeline --------------------------------------------------------

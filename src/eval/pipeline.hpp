@@ -17,13 +17,13 @@
 // scoring target model, so a BuildArtifactCache keyed by (app, repo
 // content hash) lets Overall and Code-only scoring of the same generated
 // sources — and identical artifacts across samples and targets — share one
-// build. ScoreCache (eval/harness.hpp) layers its full-score memoization
-// on top of this cache; per-layer hit/miss counters make the sharing
-// observable.
+// build. ScoreCache (eval/harness.hpp) owns it as one of its four layers,
+// with full-score memoization on top; per-layer hit/miss counters make
+// the sharing observable.
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -31,6 +31,7 @@
 #include "apps/app.hpp"
 #include "minic/diag.hpp"
 #include "minic/engine.hpp"
+#include "support/cachestore.hpp"
 #include "support/json.hpp"
 #include "vfs/repo.hpp"
 
@@ -128,55 +129,37 @@ std::uint64_t build_artifact_key(const apps::AppSpec& app,
 std::uint64_t build_artifact_key(const apps::AppSpec& app,
                                  const vfs::Repo& repo);
 
-namespace detail {
-
-/// Evict least-recently-used entries (by `.last_used`) until `entries`
-/// fits `bound`. Shared by both ScoreCache layers; the caller holds the
-/// shard lock. The linear victim scan is fine — shard bounds are small
-/// and eviction is rare.
-template <class Map>
-void evict_lru_to_bound(Map& entries, std::size_t bound) {
-  while (entries.size() > bound) {
-    auto victim = entries.begin();
-    for (auto it = std::next(victim); it != entries.end(); ++it) {
-      if (it->second.last_used < victim->second.last_used) victim = it;
-    }
-    entries.erase(victim);
-  }
-}
-
-}  // namespace detail
-
-/// Thread-safe in-memory cache of Build-stage artifacts (the lower layer
-/// of ScoreCache's two-layer scheme). Values are immutable BuildResults
-/// shared by reference: concurrent scorers run the cached executable
-/// through their own interpreter instances. Unlike the full-score layer it
-/// is not persisted — executables are live minic programs, not data — so a
-/// warm process shares builds and a warm *file* shares final scores.
-/// Sharded and LRU-bounded like the score layer.
+/// Thread-safe in-memory cache of Build-stage artifacts (ScoreCache's
+/// build-artifact layer). Values are immutable BuildResults shared by
+/// reference: concurrent scorers run the cached executable through their
+/// own interpreter instances. Unlike the other layers it is not persisted —
+/// executables are live minic programs, not data — so a warm process
+/// shares builds while a warm store shares scores, TU outcomes, warm
+/// objects and links. A 16-shard, LRU-bounded cache::Layer.
 class BuildArtifactCache {
  public:
-  BuildArtifactCache();
-  ~BuildArtifactCache();
-  BuildArtifactCache(const BuildArtifactCache&) = delete;
-  BuildArtifactCache& operator=(const BuildArtifactCache&) = delete;
-
   /// nullptr on miss. Hit/miss counters track lookups, so "misses" counts
   /// builds actually performed by the scoring pipeline.
   std::shared_ptr<const buildsim::BuildResult> lookup(std::uint64_t key);
   void insert(std::uint64_t key,
-              std::shared_ptr<const buildsim::BuildResult> build);
+              std::shared_ptr<const buildsim::BuildResult> build) {
+    entries_.insert(key, std::move(build));
+  }
 
-  std::size_t hits() const noexcept;
-  std::size_t misses() const noexcept;
-  std::size_t size() const;
+  std::size_t hits() const noexcept { return hits_.load(); }
+  std::size_t misses() const noexcept { return misses_.load(); }
+  std::size_t size() const { return entries_.size(); }
   void clear();
   /// Bound the entry count (minimum one entry per shard).
-  void set_capacity(std::size_t max_entries);
+  void set_capacity(std::size_t max_entries) {
+    entries_.set_capacity(max_entries);
+  }
 
  private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
+  cache::Layer<std::shared_ptr<const buildsim::BuildResult>, 16> entries_{
+      1 << 12};
+  std::atomic<std::size_t> hits_{0};
+  std::atomic<std::size_t> misses_{0};
 };
 
 /// The staged scorer: builds the repository (through the build-artifact

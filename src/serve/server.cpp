@@ -42,8 +42,6 @@ bool SweepServer::start(std::string* error) {
     // A cold (or stale-version) stream loads nothing; the drain's flush
     // seeds it. Either way the layers are bound now.
     cache_.attach(*store_, version_);
-    cache_.tus().attach(*store_, version_);
-    cache_.links().attach(*store_, version_);
   }
   queue_ = std::make_unique<JobQueue>(suite_, config_.max_inflight);
   if (!listener_.open(endpoint_, error)) return false;
@@ -61,8 +59,6 @@ void SweepServer::wait() {
   // the job population can only shrink from here.
   queue_->wait_idle();
   cache_.flush();
-  cache_.tus().flush();
-  cache_.links().flush();
   // Handler threads notice the drain on their next receive timeout and
   // close their connections after their last job's `done` went out.
   for (auto& t : handlers_) t.join();
@@ -333,10 +329,7 @@ Json SweepServer::status_body() const {
 Json SweepServer::fold_store(const std::string& dir) {
   FoldReply reply;
   cache::Store other(dir);
-  const bool scores = cache_.import_store(other, version_);
-  const bool tus = cache_.tus().import_store(other, version_);
-  const bool links = cache_.links().import_store(other, version_);
-  if (!scores && !tus && !links) {
+  if (!cache_.import_store(other, version_)) {
     reply.ok = false;
     reply.error = "no score or TU streams at " + dir +
                   " (missing store, or a different pipeline version)";
@@ -345,10 +338,17 @@ Json SweepServer::fold_store(const std::string& dir) {
   reply.ok = true;
   // flush() forwards the imported (unpublished) records into the
   // attached store — the fan-in step. Without a store the import still
-  // warmed the in-memory layers; 0 records were appended anywhere.
-  reply.score_records = static_cast<long long>(cache_.flush());
-  reply.tu_records = static_cast<long long>(cache_.tus().flush() +
-                                            cache_.links().flush());
+  // warmed the in-memory layers; 0 records were appended anywhere. The
+  // score share is read off the score stream's append counter.
+  const auto score_appends = [this] {
+    return store_ ? store_->stats(eval::ScoreCache::kStream).records_appended
+                  : 0;
+  };
+  const std::size_t scores_before = score_appends();
+  const std::size_t records = cache_.flush();
+  reply.score_records =
+      static_cast<long long>(score_appends() - scores_before);
+  reply.tu_records = static_cast<long long>(records) - reply.score_records;
   return reply.encode();
 }
 

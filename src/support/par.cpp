@@ -79,12 +79,6 @@ ThreadPool::~ThreadPool() {
   }
 }
 
-void ThreadPool::drain() {
-  help_until([this] {
-    return state_->pending.load(std::memory_order_acquire) == 0;
-  });
-}
-
 void ThreadPool::push(std::function<void()> task, TaskPriority priority) {
   unsigned index;
   if (tls_pool_state == state_.get()) {

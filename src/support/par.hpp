@@ -72,15 +72,6 @@ class ThreadPool {
   /// steal). Returns false when every deque is empty. Safe from any thread.
   bool run_pending_task();
 
-  /// Complete every queued-but-unstarted task, helping from the calling
-  /// thread, and return once the queues are empty (tasks a drained task
-  /// submitted are drained too). Does NOT wait for tasks already popped
-  /// by a worker and still executing — pair with await() on their futures
-  /// for that. The pool stays fully usable afterwards: a long-lived
-  /// server calls drain() between jobs or before a graceful exit without
-  /// tearing the workers down.
-  void drain();
-
   /// Wait for `fut`, executing pending pool tasks in the meantime, then
   /// return its value (rethrowing the task's exception, if any).
   template <class R>

@@ -204,33 +204,6 @@ TEST(ThreadPool, HighPriorityTasksDrainFirst) {
   }
 }
 
-TEST(ThreadPool, DrainCompletesQueuedTasksAndPoolStaysUsable) {
-  // Block the lone worker so submissions pile up queued-but-unstarted,
-  // then drain() from the test thread: it must help-execute every queued
-  // task before returning, and the pool must keep working afterwards —
-  // the between-jobs idle point of a long-lived server.
-  ps::ThreadPool pool(1);
-  std::atomic<bool> started{false};
-  std::atomic<bool> release{false};
-  auto blocker = pool.submit([&] {
-    started.store(true);
-    while (!release.load()) std::this_thread::yield();
-  });
-  while (!started.load()) std::this_thread::yield();
-
-  std::atomic<int> ran{0};
-  constexpr int kTasks = 16;
-  for (int i = 0; i < kTasks; ++i) {
-    pool.submit([&] { ran.fetch_add(1); });
-  }
-  release.store(true);
-  pool.drain();
-  EXPECT_EQ(ran.load(), kTasks);
-
-  auto after = pool.submit([] { return 6 * 7; });
-  EXPECT_EQ(pool.await(after), 42);
-}
-
 TEST(ThreadPool, DestructorExecutesTasksSubmittedDuringTeardown) {
   // A draining task that chains follow-ups A -> B -> C: even when the
   // follow-ups land while the destructor is already joining, a submit()

@@ -15,9 +15,12 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "apps/app.hpp"
 #include "buildsim/builder.hpp"
+#include "buildsim/linkcache.hpp"
 #include "buildsim/tucache.hpp"
 #include "eval/harness.hpp"
 #include "execsim/driver.hpp"
@@ -354,7 +357,7 @@ TEST(TuCache, FailedBuildWithLinkedTargetIsNeverPlanReconstructed) {
 
 TEST(TuCache, SeedCorpusStagedScoresBitIdentical) {
   // The end-to-end gate: one pair of the paper sweep, run (1) uncached,
-  // (2) through a fresh three-layer ScoreCache, and (3) through a cache
+  // (2) through a fresh ScoreCache, and (3) through a cache
   // whose TU layer alone was flushed to a store and replayed (score layer
   // cold, so Build stages actually consult the persisted TU layer —
   // failed plans reconstruct, successful TUs decode their objects). All
@@ -389,6 +392,63 @@ TEST(TuCache, SeedCorpusStagedScoresBitIdentical) {
   EXPECT_EQ(reference, through_store);
   EXPECT_GT(warm.tus().plan_hits(), 0u)
       << "failed builds must reconstruct from persisted plans";
+  std::filesystem::remove_all(dir);
+}
+
+TEST(TuCache, ScoreCacheLifecycleCoversEveryStream) {
+  // The one store lifecycle: a single ScoreCache::flush() publishes all
+  // five streams, a fresh ScoreCache::attach restores every persisted
+  // layer, and attaching a layer again to the store it is already bound
+  // to replays nothing.
+  const apps::AppSpec* app = apps::find_app("nanoXOR");
+  ASSERT_NE(app, nullptr);
+  constexpr std::uint64_t kVersion = 77;
+  const std::uint64_t obj_version = minic::obj_stream_version(kVersion);
+  const std::vector<std::pair<const char*, std::uint64_t>> streams = {
+      {eval::ScoreCache::kStream, kVersion},
+      {TuCompileCache::kTuStream, kVersion},
+      {TuCompileCache::kPlanStream, kVersion},
+      {TuCompileCache::kObjStream, obj_version},
+      {buildsim::LinkCache::kStream, obj_version},
+  };
+
+  const std::string dir = fresh_store_dir("score_cache_lifecycle_store");
+  cache::Store store(dir);
+  ASSERT_TRUE(store.open());
+  eval::ScoreCache writer;
+  EXPECT_FALSE(writer.attach(store, kVersion));
+  writer.score(*app, app->repos.at(apps::Model::Cuda), apps::Model::Cuda);
+  ASSERT_GT(writer.tus().size(), 0u);
+  ASSERT_GT(writer.tus().plan_count(), 0u);
+  ASSERT_GT(writer.links().size(), 0u);
+  const std::size_t appended = writer.flush();
+  std::size_t stream_total = 0;
+  for (const auto& [stream, version] : streams) {
+    EXPECT_FALSE(stream_records(store, stream, version).empty()) << stream;
+    stream_total += store.stats(stream).records_appended;
+  }
+  EXPECT_EQ(appended, stream_total);
+  EXPECT_EQ(writer.flush(), 0u);
+
+  cache::Store reader(dir);
+  eval::ScoreCache warm;
+  ASSERT_TRUE(warm.attach(reader, kVersion));
+  EXPECT_EQ(warm.size(), writer.size());
+  EXPECT_EQ(warm.tus().size(), writer.tus().size());
+  EXPECT_EQ(warm.tus().plan_count(), writer.tus().plan_count());
+  EXPECT_EQ(warm.links().size(), writer.links().size());
+
+  std::vector<std::size_t> replayed;
+  for (const auto& [stream, version] : streams) {
+    replayed.push_back(reader.stats(stream).records_replayed);
+    EXPECT_GT(replayed.back(), 0u) << stream;
+  }
+  EXPECT_TRUE(warm.tus().attach(reader, kVersion));
+  EXPECT_TRUE(warm.links().attach(reader, kVersion));
+  for (std::size_t i = 0; i < streams.size(); ++i) {
+    EXPECT_EQ(reader.stats(streams[i].first).records_replayed, replayed[i])
+        << streams[i].first;
+  }
   std::filesystem::remove_all(dir);
 }
 

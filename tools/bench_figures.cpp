@@ -220,12 +220,12 @@ int main(int argc, char** argv) {
   const double reports_ms = ms_since(t_reports);
 
   if (store.has_value()) {
-    const std::size_t score_records = cache.flush();
-    const std::size_t tu_records = cache.tus().flush();
-    const std::size_t link_records = cache.links().flush();
-    std::printf("flushed %zu score + %zu TU/plan/object + %zu link "
-                "records to %s (score journal gen %llu / %zu bytes)\n",
-                score_records, tu_records, link_records, cache_dir.c_str(),
+    const std::size_t records = cache.flush();
+    std::printf("flushed %zu records (%zu score) to %s (score journal gen "
+                "%llu / %zu bytes)\n",
+                records,
+                store->stats(eval::ScoreCache::kStream).records_appended,
+                cache_dir.c_str(),
                 static_cast<unsigned long long>(
                     store->stats(eval::ScoreCache::kStream).generation),
                 store->journal_bytes(eval::ScoreCache::kStream));

@@ -85,16 +85,16 @@ struct CacheAttach {
   bool warm_links = false;
 };
 
-/// Attach `cache`'s score + TU + link layers to a --cache-dir store and
+/// Attach every persisted layer of `cache` to a --cache-dir store and
 /// print the uniform warm/cold banner every tool used to format by hand.
-/// (The TU attach also replays the obj1 warm-object stream; warm_tus
-/// covers both.)
+/// (warm_tus covers the TU layer's tu, tuplan and obj1 streams.)
 inline CacheAttach attach_cache_layers(cache::Store& store,
                                        eval::ScoreCache& cache,
                                        std::uint64_t version,
                                        bool banner = true) {
   CacheAttach out;
   out.warm_scores = cache.attach(store, version);
+  // Both layers are bound already: these read back their first answers.
   out.warm_tus = cache.tus().attach(store, version);
   out.warm_links = cache.links().attach(store, version);
   if (banner) {

@@ -15,14 +15,11 @@
 #include <string>
 #include <vector>
 
-#include "buildsim/linkcache.hpp"
-#include "buildsim/tucache.hpp"
 #include "common.hpp"
 #include "execsim/driver.hpp"
 #include "eval/report.hpp"
 #include "eval/shard.hpp"
 #include "minic/engine.hpp"
-#include "minic/objcodec.hpp"
 #include "support/cachestore.hpp"
 #include "support/strings.hpp"
 
@@ -185,7 +182,7 @@ int main(int argc, char** argv) {
   int mismatches = 0;
   if (verify) {
     // Seven in-process references, one per layer: uncached, staged
-    // two-layer cache (TU layer off), TU-cached (all three layers),
+    // cache (TU layer off), TU-cached (all four layers),
     // journal-warm (every layer flushed to a cache::Store, compacted, and
     // replayed into a fresh cache; Build skipped), object-warm (the score
     // stream withheld — every sample re-scores, failed builds reconstruct
@@ -233,38 +230,22 @@ int main(int argc, char** argv) {
     const std::uint64_t pipeline_version =
         eval::scoring_pipeline_hash(suite);
 
-    // Journal-warm reference: flush the TU-cached run's score + TU layers
-    // into a throwaway cache::Store, compact every stream (so the replay
-    // crosses a generation bump), and replay the store into a fresh cache
-    // through a separate Store instance. Must be bit-identical with the
-    // Build stage skipped, proving journaled persistence round-trips
-    // exactly.
+    // Journal-warm reference: flush the TU-cached run's layers into a
+    // throwaway cache::Store whose compaction threshold is zero, so the
+    // flush compacts every stream it writes (the replay crosses a
+    // generation bump), and replay the store into a fresh cache through a
+    // separate Store instance. Must be bit-identical with the Build stage
+    // skipped, proving journaled persistence round-trips exactly.
     {
       const std::string store_dir = out_path + ".verify-store";
       std::error_code ec;
       std::filesystem::remove_all(store_dir, ec);
       cache::Store writer(store_dir);
+      writer.set_compact_threshold(0);
       bool store_built = writer.open();
       if (store_built) {
         tu_cached.attach(writer, pipeline_version);
-        tu_cached.tus().attach(writer, pipeline_version);
-        tu_cached.links().attach(writer, pipeline_version);
-        tu_cached.flush();
-        tu_cached.tus().flush();
-        tu_cached.links().flush();
-        store_built =
-            writer.compact(eval::ScoreCache::kStream, pipeline_version) &&
-            writer.compact(buildsim::TuCompileCache::kTuStream,
-                           pipeline_version) &&
-            writer.compact(buildsim::TuCompileCache::kPlanStream,
-                           pipeline_version) &&
-            // The object streams version-fold the codec format version,
-            // so a codec bump cold-starts them without touching the
-            // score, TU and plan streams.
-            writer.compact(buildsim::TuCompileCache::kObjStream,
-                           minic::obj_stream_version(pipeline_version)) &&
-            writer.compact(buildsim::LinkCache::kStream,
-                           minic::obj_stream_version(pipeline_version));
+        store_built = tu_cached.flush() > 0;
       }
       if (!store_built) {
         std::fprintf(stderr,
@@ -354,6 +335,7 @@ int main(int argc, char** argv) {
       cache::Store shared(cache_dir);
       eval::ScoreCache store_warm;
       const bool warm_scores = store_warm.attach(shared, pipeline_version);
+      // Already bound by the attach above: the TU layer's first answer.
       const bool warm_tus =
           store_warm.tus().attach(shared, pipeline_version);
       cached.score_cache = &store_warm;
@@ -436,14 +418,10 @@ int main(int argc, char** argv) {
     }
     eval::ScoreCache fold;
     fold.attach(target, pipeline_version);
-    fold.tus().attach(target, pipeline_version);
     std::size_t imported = 0;
     for (const std::string& dir : import_dirs) {
       cache::Store source(dir);
-      const bool scores_ok = fold.import_store(source, pipeline_version);
-      const bool tus_ok =
-          fold.tus().import_store(source, pipeline_version);
-      if (scores_ok || tus_ok) {
+      if (fold.import_store(source, pipeline_version)) {
         ++imported;
       } else {
         std::fprintf(stderr,
@@ -452,7 +430,7 @@ int main(int argc, char** argv) {
                      dir.c_str());
       }
     }
-    const std::size_t appended = fold.flush() + fold.tus().flush();
+    const std::size_t appended = fold.flush();
     std::printf(
         "folded %zu/%zu worker cache dirs into %s (%zu new records; %zu "
         "scores, %zu TUs, %zu plans total)\n",

@@ -1,7 +1,7 @@
 // sweep_server: the resident evaluation daemon. Binds a Unix-domain or
-// TCP endpoint, keeps all three cache layers of one ScoreCache warm in
-// memory (score + TU layers attached to --cache-dir, build artifacts
-// process-local), and serves sweep jobs submitted by sweep_client —
+// TCP endpoint, keeps all four cache layers of one ScoreCache warm in
+// memory (score, TU and link layers attached to --cache-dir, build
+// artifacts process-local), and serves sweep jobs submitted by sweep_client —
 // scheduling their (cell x sample) units fair-share across concurrent
 // jobs on the global work-stealing pool and streaming every completed
 // sample back as it lands.
@@ -29,7 +29,7 @@ int usage(const char* argv0) {
       "  --listen EP        endpoint to serve: 'unix:/path/to.sock' (or a\n"
       "                     bare path), 'tcp:host:port', or 'tcp:port'\n"
       "                     (127.0.0.1)\n"
-      "  --cache-dir DIR    attach the score + TU cache layers to a\n"
+      "  --cache-dir DIR    attach the persisted cache layers to a\n"
       "                     journaled cache directory (cache::Store):\n"
       "                     warm-replayed on start, flushed on drain.\n"
       "                     Without it the caches are memory-only (still\n"

@@ -173,17 +173,16 @@ int main(int argc, char** argv) {
 
   if (store.has_value()) {
     eval::ScoreCache& cache = eval::ScoreCache::global();
-    const std::size_t score_records = cache.flush();
-    const std::size_t tu_records = cache.tus().flush();
+    const std::size_t records = cache.flush();
     const auto score_stats = store->stats(eval::ScoreCache::kStream);
     const auto tu_stats =
         store->stats(buildsim::TuCompileCache::kTuStream);
     std::printf(
-        "flushed %zu score + %zu TU/plan records to %s (score journal "
-        "gen %llu / %zu bytes, TU journal gen %llu / %zu bytes; score "
-        "layer %zu hits / %zu misses, build layer %zu hits / %zu misses, "
-        "TU layer %zu+%zu hits / %zu misses this run)\n",
-        score_records, tu_records, cache_dir.c_str(),
+        "flushed %zu records (%zu score) to %s (score journal gen %llu / "
+        "%zu bytes, TU journal gen %llu / %zu bytes; score layer %zu hits "
+        "/ %zu misses, build layer %zu hits / %zu misses, TU layer %zu+%zu "
+        "hits / %zu misses this run)\n",
+        records, score_stats.records_appended, cache_dir.c_str(),
         static_cast<unsigned long long>(score_stats.generation),
         score_stats.journal_bytes,
         static_cast<unsigned long long>(tu_stats.generation),
