@@ -220,8 +220,12 @@ std::uint64_t app_content_hash(const AppSpec& app, apps::Model from) {
   put(app.cli_spec);
   put(app.build_spec_make);
   put(app.build_spec_cmake);
+  // Hashed once per distinct field string (per thread), not per sample.
+  thread_local std::map<std::string, std::uint64_t> fields_hashes;
+  const auto [it, fresh] = fields_hashes.try_emplace(std::move(fields));
+  if (fresh) it->second = support::stable_hash(it->first);
   return support::SplitMix64(buildsim::repo_content_hash(app.repos.at(from)) ^
-                             support::stable_hash(fields))
+                             it->second)
       .next();
 }
 

@@ -289,17 +289,13 @@ std::optional<minic::DiagCategory> BuildResult::sole_error_category() const {
 }
 
 BuildResult build_repo(const vfs::Repo& repo, const std::string& make_target,
-                       TuCompileCache* tu_cache,
-                       std::optional<std::uint64_t> repo_hash,
-                       LinkCache* link_cache) {
+                       TuCompileCache* tu_cache, LinkCache* link_cache) {
   BuildResult result;
   std::uint64_t plan_key = 0;
   if (tu_cache != nullptr) {
     // A persisted failed plan reconstructs the whole BuildResult (failed
     // builds carry no executable) — the entire build is skipped.
-    plan_key = build_plan_key(
-        repo_hash.has_value() ? *repo_hash : repo_content_hash(repo),
-        make_target);
+    plan_key = build_plan_key(repo, make_target);
     if (tu_cache->lookup_failed_plan(plan_key, &result)) return result;
   }
   std::vector<std::uint64_t> tu_keys;

@@ -41,10 +41,7 @@ struct BuildResult {
 /// share every TU), the build's compile-plan digest is recorded, and a
 /// build whose *failed* outcome the cache already holds (persisted from a
 /// previous process) is reconstructed without compiling at all. Cached and
-/// uncached builds are bit-identical. `repo_hash` (optional) is a
-/// precomputed repo_content_hash(repo): the scoring pipeline hands in the
-/// hash it just computed for the build-artifact key so the plan key does
-/// not re-hash the whole repo.
+/// uncached builds are bit-identical.
 ///
 /// With a LinkCache as well (requires the TU cache — link keys are built
 /// from TU content keys), each link step's outcome is memoized
@@ -53,7 +50,6 @@ struct BuildResult {
 BuildResult build_repo(const vfs::Repo& repo,
                        const std::string& make_target = "",
                        TuCompileCache* tu_cache = nullptr,
-                       std::optional<std::uint64_t> repo_hash = std::nullopt,
                        LinkCache* link_cache = nullptr);
 
 }  // namespace pareval::buildsim

@@ -96,22 +96,22 @@ std::uint64_t repo_content_hash(const vfs::Repo& repo) {
   // The exact algorithm is pinned by the golden scoring-pipeline-hash test
   // (eval::repo_content_hash forwards here).
   std::uint64_t h = 0x243f6a8885a308d3ULL;  // pi, for an asymmetric start
-  repo.for_each_file([&h](const std::string& path,
-                          const std::string& content) {
+  // Each file's content hash was taken once, when the file was written.
+  repo.for_each_file([&](const std::string& path, const std::string&) {
     h = fold(h, support::stable_hash(path));
-    h = fold(h, support::stable_hash(content));
+    h = fold(h, repo.content_hash(path));
   });
   return h;
 }
 
 std::uint64_t tu_primary_key(const std::string& source,
-                             const std::string& source_content,
+                             std::uint64_t source_hash,
                              const Capabilities& caps,
                              const TuDefines& defines,
                              std::string_view toolchain_id) {
   std::uint64_t h = support::stable_hash(std::string("pareval-tu-key-v1"));
   h = fold(h, support::stable_hash(source));
-  h = fold(h, support::stable_hash(source_content));
+  h = fold(h, source_hash);
   h = fold(h, static_cast<std::uint64_t>(caps_to_bits(caps)));
   // Length-delimit the define list so (A,B)+(C) cannot alias (A)+(B,C).
   h = fold(h, static_cast<std::uint64_t>(defines.size()));
@@ -125,17 +125,12 @@ std::uint64_t tu_primary_key(const std::string& source,
   return h;
 }
 
-std::uint64_t build_plan_key(std::uint64_t repo_hash,
+std::uint64_t build_plan_key(const vfs::Repo& repo,
                              const std::string& make_target) {
   std::uint64_t h =
       fold(support::stable_hash(std::string("pareval-tu-plan-v1")),
-           repo_hash);
+           repo_content_hash(repo));
   return fold(h, support::stable_hash(make_target));
-}
-
-std::uint64_t build_plan_key(const vfs::Repo& repo,
-                             const std::string& make_target) {
-  return build_plan_key(repo_content_hash(repo), make_target);
 }
 
 // --- Impl -------------------------------------------------------------------
@@ -256,24 +251,14 @@ struct TuCompileCache::Impl {
   }
 
   /// Does `manifest` describe this repo's exact input set? Runs OUTSIDE
-  /// the shard lock (manifests are immutable and pointer-shared);
-  /// contents are hashed by reference, never copied, and `hash_memo`
-  /// (per-lookup, keyed by views into the candidate manifests) dedupes
-  /// hashing of files several candidates share.
-  static bool manifest_valid(
-      const vfs::Repo& repo, const Manifest& manifest,
-      std::unordered_map<std::string_view, std::uint64_t>& hash_memo) {
+  /// the shard lock (manifests are immutable and pointer-shared); each
+  /// dependency's content hash is the one its blob carries.
+  static bool manifest_valid(const vfs::Repo& repo,
+                             const Manifest& manifest) {
     for (const Dep& dep : manifest.deps) {
-      const auto it = hash_memo.find(dep.path);
-      std::uint64_t h = 0;
-      if (it != hash_memo.end()) {
-        h = it->second;
-      } else {
-        if (!repo.exists(dep.path)) return false;
-        h = support::stable_hash(repo.at(dep.path));
-        hash_memo.emplace(dep.path, h);
+      if (!repo.exists(dep.path) || repo.content_hash(dep.path) != dep.hash) {
+        return false;
       }
-      if (h != dep.hash) return false;
     }
     for (const std::string& path : manifest.missing) {
       if (repo.exists(path)) return false;
@@ -543,7 +528,8 @@ std::shared_ptr<TranslationUnit> TuCompileCache::compile(
     return execsim::compile_tu(repo, source, caps, defines);
   }
   const std::uint64_t key =
-      tu_primary_key(source, repo.at(source), caps, defines, toolchain_id);
+      tu_primary_key(source, repo.content_hash(source), caps, defines,
+                     toolchain_id);
   if (key_out != nullptr) *key_out = key;
   Impl::Shard& shard = impl_->shards[key % Impl::kShards];
 
@@ -561,17 +547,13 @@ std::shared_ptr<TranslationUnit> TuCompileCache::compile(
     }
   }
 
-  // Phase 2: validate outside the lock — content hashing must not
-  // serialize concurrent builds behind a shard mutex. The memo dedupes
-  // hashing of files several candidates share.
+  // Phase 2: validate outside the lock, so lookups of concurrent builds
+  // do not serialize behind a shard mutex.
   std::shared_ptr<const Impl::Manifest> valid;
-  {
-    std::unordered_map<std::string_view, std::uint64_t> hash_memo;
-    for (const auto& manifest : candidates) {
-      if (Impl::manifest_valid(repo, *manifest, hash_memo)) {
-        valid = manifest;
-        break;
-      }
+  for (const auto& manifest : candidates) {
+    if (Impl::manifest_valid(repo, *manifest)) {
+      valid = manifest;
+      break;
     }
   }
 
@@ -645,7 +627,7 @@ std::shared_ptr<TranslationUnit> TuCompileCache::compile(
   manifest->deps.reserve(tu->resolved_files.size());
   for (const std::string& path : tu->resolved_files) {
     // Every resolved file was just read by the preprocessor, so it exists.
-    manifest->deps.push_back({path, support::stable_hash(repo.at(path))});
+    manifest->deps.push_back({path, repo.content_hash(path)});
   }
   manifest->missing = tu->missing_probes;
   if (obj_key_out != nullptr) {

@@ -64,19 +64,13 @@ std::uint64_t repo_content_hash(const vfs::Repo& repo);
 /// against the repo on every lookup (the ccache "manifest" scheme, exact
 /// here because the toolchain is simulated and pure).
 std::uint64_t tu_primary_key(const std::string& source,
-                             const std::string& source_content,
+                             std::uint64_t source_hash,
                              const minic::Capabilities& caps,
                              const TuDefines& defines,
                              std::string_view toolchain_id);
 
 /// Key of one whole-build compile plan: (repo content hash, make target) —
-/// everything build_repo's outcome depends on. The repo-hash overload is
-/// for callers that already computed repo_content_hash (the scoring
-/// pipeline computes it for the build-artifact key just before building —
-/// hashing the whole repo twice per build would double the hot cold-sweep
-/// hashing cost).
-std::uint64_t build_plan_key(std::uint64_t repo_hash,
-                             const std::string& make_target);
+/// everything build_repo's outcome depends on.
 std::uint64_t build_plan_key(const vfs::Repo& repo,
                              const std::string& make_target);
 

@@ -204,9 +204,7 @@ vfs::Repo with_ground_truth_build(const AppSpec& app, const vfs::Repo& repo,
   out.remove("Makefile");
   out.remove("CMakeLists.txt");
   const auto it = app.ground_truth_builds.find(target);
-  if (it != app.ground_truth_builds.end()) {
-    for (const auto& f : it->second.files()) out.write(f.path, f.content);
-  }
+  if (it != app.ground_truth_builds.end()) out.merge(it->second);
   return out;
 }
 

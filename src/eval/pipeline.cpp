@@ -96,14 +96,10 @@ std::uint64_t repo_content_hash(const vfs::Repo& repo) {
 }
 
 std::uint64_t build_artifact_key(const apps::AppSpec& app,
-                                 std::uint64_t repo_hash) {
-  return support::SplitMix64(repo_hash ^ support::stable_hash(app.name))
-      .next();
-}
-
-std::uint64_t build_artifact_key(const apps::AppSpec& app,
                                  const vfs::Repo& repo) {
-  return build_artifact_key(app, repo_content_hash(repo));
+  return support::SplitMix64(repo_content_hash(repo) ^
+                             support::stable_hash(app.name))
+      .next();
 }
 
 // --- BuildArtifactCache -----------------------------------------------------
@@ -141,24 +137,19 @@ std::shared_ptr<const buildsim::BuildResult> ScoringPipeline::build_stage(
   const auto t0 = std::chrono::steady_clock::now();
   std::shared_ptr<const buildsim::BuildResult> build;
   if (build_cache_ != nullptr) {
-    // One repo hash serves both the artifact key and (on a miss) the TU
-    // cache's build-plan key — the repo is never hashed twice per build.
-    const std::uint64_t repo_hash = repo_content_hash(repo);
-    const std::uint64_t key = build_artifact_key(app, repo_hash);
+    const std::uint64_t key = build_artifact_key(app, repo);
     build = build_cache_->lookup(key);
     if (build == nullptr) {
       // Two threads racing on one key just perform the same pure build
       // twice; the second insert benignly replaces the first. The TU
       // cache dedupes the compile work below the whole-repo key.
       build = std::make_shared<buildsim::BuildResult>(
-          buildsim::build_repo(repo, "", tu_cache_, repo_hash,
-                               link_cache_));
+          buildsim::build_repo(repo, "", tu_cache_, link_cache_));
       build_cache_->insert(key, build);
     }
   } else {
     build = std::make_shared<buildsim::BuildResult>(
-        buildsim::build_repo(repo, "", tu_cache_, std::nullopt,
-                             link_cache_));
+        buildsim::build_repo(repo, "", tu_cache_, link_cache_));
   }
   g_build_stage_nanos.fetch_add(
       static_cast<std::uint64_t>(

@@ -121,11 +121,7 @@ std::uint64_t repo_content_hash(const vfs::Repo& repo);
 
 /// Build-artifact cache key: (app, repo content hash). Deliberately
 /// excludes the target model — builds are target-independent, so scoring
-/// one artifact for several targets shares one build. The repo-hash
-/// overload lets the pipeline hash the repo once and derive both this key
-/// and the TU cache's build-plan key from it.
-std::uint64_t build_artifact_key(const apps::AppSpec& app,
-                                 std::uint64_t repo_hash);
+/// one artifact for several targets shares one build.
 std::uint64_t build_artifact_key(const apps::AppSpec& app,
                                  const vfs::Repo& repo);
 

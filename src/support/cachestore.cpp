@@ -20,16 +20,25 @@ constexpr std::string_view kFrameMagic = "PVJ1 ";
 // "PVJ1 " + 8-hex length + " " + 8-hex crc + "\n"
 constexpr std::size_t kHeaderSize = 5 + 8 + 1 + 8 + 1;
 
-std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
+/// Slicing-by-8 tables: t[0] is the bytewise table, and t[k][i] is the
+/// CRC register after byte i is followed by k zero bytes.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+CrcTables make_crc_tables() {
+  CrcTables t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1) ? 0xedb88320u ^ (c >> 1) : (c >> 1);
     }
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < 8; ++k) {
+    for (std::size_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xffu];
+    }
+  }
+  return t;
 }
 
 std::string u32_to_hex(std::uint32_t v) {
@@ -46,11 +55,18 @@ bool u32_from_hex(std::string_view hex, std::uint32_t* out) {
 }  // namespace
 
 std::uint32_t crc32(std::string_view bytes) {
-  static const std::array<std::uint32_t, 256> table = make_crc_table();
+  static const CrcTables t = make_crc_tables();
   std::uint32_t c = 0xffffffffu;
-  for (const char ch : bytes) {
-    c = table[(c ^ static_cast<unsigned char>(ch)) & 0xffu] ^ (c >> 8);
+  const auto* p = reinterpret_cast<const unsigned char*>(bytes.data());
+  std::size_t n = bytes.size();
+  for (; n >= 8; p += 8, n -= 8) {
+    // The register absorbs the first four bytes; the last four index
+    // their tables directly.
+    c ^= p[0] | p[1] << 8 | p[2] << 16 | std::uint32_t{p[3]} << 24;
+    c = t[7][c & 0xffu] ^ t[6][(c >> 8) & 0xffu] ^ t[5][(c >> 16) & 0xffu] ^
+        t[4][c >> 24] ^ t[3][p[4]] ^ t[2][p[5]] ^ t[1][p[6]] ^ t[0][p[7]];
   }
+  for (; n > 0; ++p, --n) c = t[0][(c ^ *p) & 0xffu] ^ (c >> 8);
   return c ^ 0xffffffffu;
 }
 

@@ -1,5 +1,6 @@
 #include "support/rng.hpp"
 
+#include <atomic>
 #include <string>
 
 namespace pareval::support {
@@ -17,7 +18,14 @@ std::size_t Rng::weighted_index(std::span<const double> weights) noexcept {
   return weights.size() - 1;  // numeric slop lands on the last bucket
 }
 
+namespace {
+std::atomic<std::uint64_t> g_hashed_bytes{0};
+}  // namespace
+
+std::uint64_t hashed_bytes() noexcept { return g_hashed_bytes.load(); }
+
 std::uint64_t stable_hash(std::span<const char> bytes) noexcept {
+  g_hashed_bytes.fetch_add(bytes.size(), std::memory_order_relaxed);
   std::uint64_t h = 0xcbf29ce484222325ULL;
   for (char c : bytes) {
     h ^= static_cast<unsigned char>(c);

@@ -92,5 +92,7 @@ class Rng {
 /// from configuration names so adding tasks does not perturb other tasks.
 std::uint64_t stable_hash(std::span<const char> bytes) noexcept;
 std::uint64_t stable_hash(const std::string& s) noexcept;
+/// Bytes passed through stable_hash so far in this process.
+std::uint64_t hashed_bytes() noexcept;
 
 }  // namespace pareval::support

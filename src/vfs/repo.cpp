@@ -1,14 +1,43 @@
 #include "vfs/repo.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <set>
 #include <stdexcept>
 
+#include "support/rng.hpp"
 #include "support/strings.hpp"
 
 namespace pareval::vfs {
 
+namespace {
+
+std::atomic<std::uint64_t> g_blob_bytes{0};
+
+/// normalize_path(path) == path: every component is non-empty and is
+/// neither "." nor "..".
+bool is_normal(std::string_view path) {
+  for (std::size_t start = 0, end = 0; end < path.size(); start = end + 1) {
+    end = std::min(path.find('/', start), path.size());
+    const std::string_view part = path.substr(start, end - start);
+    if (part.empty() || part == "." || part == "..") return false;
+  }
+  return !path.empty();
+}
+
+/// Look `path` up, building its normal form only when it is not normal.
+template <class Files>
+auto find_normal(Files& files, std::string_view path) {
+  return is_normal(path) ? files.find(path)
+                         : files.find(normalize_path(path));
+}
+
+}  // namespace
+
+std::uint64_t blob_bytes() { return g_blob_bytes.load(); }
+
 std::string normalize_path(std::string_view path) {
+  if (is_normal(path)) return std::string(path);
   std::vector<std::string> out;
   for (const auto& part : support::split(path, '/')) {
     if (part.empty() || part == ".") continue;
@@ -54,29 +83,49 @@ Repo::Repo(std::vector<File> files) {
 }
 
 void Repo::write(std::string_view path, std::string content) {
-  files_[normalize_path(path)] = std::move(content);
+  auto it = find_normal(files_, path);
+  if (it == files_.end()) it = files_.try_emplace(normalize_path(path)).first;
+  g_blob_bytes.fetch_add(content.size(), std::memory_order_relaxed);
+  // Braced initializers run in order: the hash is taken before the move.
+  it->second = std::make_shared<const Blob>(
+      Blob{support::stable_hash(content), std::move(content)});
+}
+
+void Repo::merge(const Repo& other) {
+  for (const auto& [path, blob] : other.files_) files_[path] = blob;
 }
 
 bool Repo::remove(std::string_view path) {
-  return files_.erase(normalize_path(path)) > 0;
+  const auto it = find_normal(files_, path);
+  if (it == files_.end()) return false;
+  files_.erase(it);
+  return true;
 }
 
 bool Repo::exists(std::string_view path) const {
-  return files_.count(normalize_path(path)) > 0;
+  return find_normal(files_, path) != files_.end();
 }
 
 std::optional<std::string> Repo::read(std::string_view path) const {
-  const auto it = files_.find(normalize_path(path));
+  const auto it = find_normal(files_, path);
   if (it == files_.end()) return std::nullopt;
-  return it->second;
+  return it->second->content;
 }
 
-const std::string& Repo::at(std::string_view path) const {
-  const auto it = files_.find(normalize_path(path));
+const Repo::Blob& Repo::blob(std::string_view path) const {
+  const auto it = find_normal(files_, path);
   if (it == files_.end()) {
     throw std::out_of_range("no such file in repo: " + std::string(path));
   }
-  return it->second;
+  return *it->second;
+}
+
+const std::string& Repo::at(std::string_view path) const {
+  return blob(path).content;
+}
+
+std::uint64_t Repo::content_hash(std::string_view path) const {
+  return blob(path).hash;
 }
 
 std::vector<std::string> Repo::paths() const {
@@ -89,8 +138,15 @@ std::vector<std::string> Repo::paths() const {
 std::vector<File> Repo::files() const {
   std::vector<File> out;
   out.reserve(files_.size());
-  for (const auto& [p, c] : files_) out.push_back({p, c});
+  for (const auto& [p, b] : files_) out.push_back({p, b->content});
   return out;
+}
+
+bool Repo::operator==(const Repo& other) const {
+  return std::equal(files_.begin(), files_.end(), other.files_.begin(),
+                    other.files_.end(), [](const auto& a, const auto& b) {
+                      return a.first == b.first && *a.second == *b.second;
+                    });
 }
 
 namespace {

@@ -161,6 +161,34 @@ TEST(CacheStore, CrcMismatchSkipsOnlyTheGarbageRecord) {
   EXPECT_EQ(reader.stats("s").torn_records_dropped, 0u);
 }
 
+// The slicing-by-8 crc32 against the textbook bit-at-a-time CRC-32,
+// over every tail length and start alignment the 8-byte loop can see.
+TEST(CacheStore, Crc32MatchesBytewiseOracle) {
+  const auto oracle = [](std::string_view bytes) {
+    std::uint32_t c = 0xffffffffu;
+    for (const char ch : bytes) {
+      c ^= static_cast<unsigned char>(ch);
+      for (int k = 0; k < 8; ++k) {
+        c = (c & 1) ? 0xedb88320u ^ (c >> 1) : (c >> 1);
+      }
+    }
+    return c ^ 0xffffffffu;
+  };
+  EXPECT_EQ(pc::crc32("123456789"), 0xCBF43926u);
+  EXPECT_EQ(pc::crc32(""), 0u);
+  std::string buf(303, '\0');
+  for (std::size_t i = 0; i < buf.size(); ++i) {
+    buf[i] = static_cast<char>((i * 131 + 7) ^ (i >> 3));
+  }
+  for (std::size_t offset = 0; offset < 4; ++offset) {
+    for (std::size_t len = 0; len < 300; ++len) {
+      const std::string_view bytes(buf.data() + offset, len);
+      ASSERT_EQ(pc::crc32(bytes), oracle(bytes))
+          << "offset " << offset << " length " << len;
+    }
+  }
+}
+
 TEST(CacheStore, CompactionIsByteStableAndBumpsGeneration) {
   pc::Store store(temp_store_dir("cs_compact"));
   ASSERT_TRUE(store.open());

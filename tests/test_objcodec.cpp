@@ -195,7 +195,7 @@ TEST(ObjCodec, WarmStoreRebuildsWithZeroParsesAndZeroLinks) {
     LinkCache links;
     tus.attach(store, kVersion);
     links.attach(store, kVersion);
-    cold = buildsim::build_repo(repo, "", &tus, std::nullopt, &links);
+    cold = buildsim::build_repo(repo, "", &tus, &links);
     ASSERT_TRUE(cold.ok);
     EXPECT_GT(tus.flush(), 0u);
     EXPECT_GT(links.flush(), 0u);
@@ -209,8 +209,7 @@ TEST(ObjCodec, WarmStoreRebuildsWithZeroParsesAndZeroLinks) {
   ASSERT_TRUE(tus.attach(store, kVersion));
   ASSERT_TRUE(links.attach(store, kVersion));
   const execsim::DriverCounters before = execsim::driver_counters();
-  const auto warm = buildsim::build_repo(repo, "", &tus, std::nullopt,
-                                         &links);
+  const auto warm = buildsim::build_repo(repo, "", &tus, &links);
   const execsim::DriverCounters after = execsim::driver_counters();
   EXPECT_EQ(after.parses, before.parses);
   EXPECT_EQ(after.links, before.links);
@@ -272,7 +271,7 @@ TEST(ObjCodec, WarmLinkDecodesLambdaChunksAndRunsBitIdentical) {
     LinkCache links;
     tus.attach(store, kVersion);
     links.attach(store, kVersion);
-    cold = buildsim::build_repo(repo, "", &tus, std::nullopt, &links);
+    cold = buildsim::build_repo(repo, "", &tus, &links);
     ASSERT_TRUE(cold.ok);
     // Force the lambda chunks into the payload even though no VM run
     // compiled them yet: encode_link compiles on demand.
@@ -285,8 +284,7 @@ TEST(ObjCodec, WarmLinkDecodesLambdaChunksAndRunsBitIdentical) {
   LinkCache links;
   ASSERT_TRUE(tus.attach(store, kVersion));
   ASSERT_TRUE(links.attach(store, kVersion));
-  const auto warm = buildsim::build_repo(repo, "", &tus, std::nullopt,
-                                         &links);
+  const auto warm = buildsim::build_repo(repo, "", &tus, &links);
   ASSERT_TRUE(warm.ok);
   ASSERT_TRUE(warm.exe.has_value());
   // The decode really did pre-fill lambda chunks (Kokkos apps launch
@@ -322,7 +320,7 @@ TEST(ObjCodec, CorruptLinkJournalDegradesToAColdLink) {
     tus.attach(store, kVersion);
     links.attach(store, kVersion);
     ASSERT_TRUE(
-        buildsim::build_repo(repo, "", &tus, std::nullopt, &links).ok);
+        buildsim::build_repo(repo, "", &tus, &links).ok);
     tus.flush();
     ASSERT_GT(links.flush(), 0u);
   }
@@ -351,7 +349,7 @@ TEST(ObjCodec, CorruptLinkJournalDegradesToAColdLink) {
   tus.attach(store, kVersion);
   links.attach(store, kVersion);
   const auto rebuilt =
-      buildsim::build_repo(repo, "", &tus, std::nullopt, &links);
+      buildsim::build_repo(repo, "", &tus, &links);
   EXPECT_TRUE(rebuilt.ok);
   ASSERT_TRUE(rebuilt.exe.has_value());
   for (const auto& tc : app->tests) {

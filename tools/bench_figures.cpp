@@ -32,8 +32,10 @@
 #include "support/cachestore.hpp"
 #include "support/io.hpp"
 #include "support/par.hpp"
+#include "support/rng.hpp"
 #include "support/strings.hpp"
 #include "text/word2vec.hpp"
+#include "vfs/repo.hpp"
 
 using namespace pareval;
 using support::Json;
@@ -299,6 +301,11 @@ int main(int argc, char** argv) {
               static_cast<long long>(text::word2vec_pairs()));
   context.set("word2vec_sequential_pairs",
               static_cast<long long>(text::word2vec_sequential_pairs()));
+  // Bytes hashed by support::stable_hash, and content bytes of the file
+  // blobs created: each blob is hashed once when written, so on a fully
+  // warm store the first stays close to the second (CI gates the ratio).
+  context.set("hashed_bytes", static_cast<long long>(support::hashed_bytes()));
+  context.set("blob_bytes", static_cast<long long>(vfs::blob_bytes()));
   root.set("context", std::move(context));
 
   if (!cache_stats_path.empty()) {
